@@ -63,6 +63,15 @@ def _exp_term(p: TgiwParams, x: np.ndarray) -> np.ndarray:
         return p.gamma * (p.alpha * x) ** (-p.beta)
 
 
+def _bracket(lam: float, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Density factor 1 + lam - 2*lam*u, as (1 - lam)*u + (1 + lam)*w with w = -expm1(-t).
+
+    w = 1 - u without cancellation, and both terms are nonnegative, so the
+    factor keeps its relative precision in both tails for every lam in [-1, 1].
+    """
+    return (1.0 - lam) * u + (1.0 + lam) * -np.expm1(-t)
+
+
 def cdf(p: TgiwParams, x):
     """Distribution function F(x) = u*(1 + lam - lam*u), u = exp(-gamma*(alpha*x)**-beta)."""
     xa = _check_x(x)
@@ -81,7 +90,7 @@ def pdf(p: TgiwParams, x):
     u = np.exp(-t)
     with np.errstate(over="ignore", invalid="ignore"):
         base = p.alpha * p.beta * p.gamma * (p.alpha * xa) ** (-p.beta - 1.0)
-        out = base * u * (1.0 + p.lam - 2.0 * p.lam * u)
+        out = base * u * _bracket(p.lam, t, u)
     out = np.where(np.isnan(out), 0.0, out)
     return _scalar_or_array(x, out)
 
@@ -91,7 +100,7 @@ def log_pdf(p: TgiwParams, x):
     xa = _check_x(x)
     t = _exp_term(p, xa)
     u = np.exp(-t)
-    bracket = 1.0 + p.lam - 2.0 * p.lam * u
+    bracket = _bracket(p.lam, t, u)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_bracket = np.where(bracket > 0.0, np.log(np.where(bracket > 0.0, bracket, 1.0)), -np.inf)
         out = (
@@ -104,17 +113,24 @@ def log_pdf(p: TgiwParams, x):
 
 
 def survival(p: TgiwParams, x):
-    """Reliability R(x) = 1 - F(x)."""
+    """Reliability R(x) = 1 - F(x) = w * (1 - lam*u), with w = 1 - u = -expm1(-t).
+
+    The second factor is written (1 - lam)*u + w, a sum of nonnegative terms,
+    so R keeps full relative precision in the far right tail, where 1 - F
+    would cancel.
+    """
     xa = _check_x(x)
-    u = np.exp(-_exp_term(p, xa))
-    return _scalar_or_array(x, 1.0 - u * (1.0 + p.lam - p.lam * u))
+    t = _exp_term(p, xa)
+    w = -np.expm1(-t)
+    return _scalar_or_array(x, w * ((1.0 - p.lam) * np.exp(-t) + w))
 
 
 def hazard(p: TgiwParams, x):
     """Failure rate h(x) = f(x) / R(x).
 
     Raises OverflowError when the survival probability underflows to zero
-    (far right tail), where the ratio is no longer representable.
+    (beyond the smallest float, in the far right tail), where the ratio is no
+    longer representable.
     """
     xa = _check_x(x)
     s = np.asarray(survival(p, xa))
@@ -125,12 +141,17 @@ def hazard(p: TgiwParams, x):
 
 
 def cumulative_hazard(p: TgiwParams, x):
-    """Cumulative hazard H(x) = -ln R(x)."""
+    """Cumulative hazard H(x) = -ln R(x).
+
+    Taken as -log1p(-F) where F <= 1/2, so H keeps its relative precision in
+    the left tail where R rounds to 1, and as -ln R elsewhere.
+    """
     xa = _check_x(x)
     s = np.asarray(survival(p, xa))
     if np.any(s <= 0.0):
         raise OverflowError("survival underflowed to 0; cumulative hazard is infinite")
-    return _scalar_or_array(x, -np.log(s))
+    F = np.asarray(cdf(p, xa))
+    return _scalar_or_array(x, np.where(F <= 0.5, -np.log1p(-np.minimum(F, 0.5)), -np.log(s)))
 
 
 def _check_q(q) -> np.ndarray:

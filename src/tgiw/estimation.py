@@ -1,14 +1,24 @@
 """Parameter estimation: maximum likelihood, (weighted) least squares, inference.
 
-Fitting works in an unconstrained transform space (log for positive
-parameters, atanh for the transmutation weight) with a Nelder-Mead simplex
-seeded by a method-of-quantiles start, optional uniform multistart draws,
-and a gradient (BFGS) polish for maximum likelihood.
+One private kernel returns the log-likelihood, its gradient and its exact
+Hessian in the identifiable coordinates (theta, beta, lam) in one vector pass
+over log x.  Maximum likelihood is one trust-region Newton solve
+(``trust-exact``) in z = (log theta, log beta, atanh lam) on the data divided
+by their median, so neither the iterates nor the convergence test depend on
+the unit of measurement.  A model with a free transmutation weight starts
+from the optimum of its lam = 0 sub-model; every accepted step raises the
+likelihood, so the fit never ends below the base model.  Extra multistart
+starts are uniform draws around a method-of-quantiles seed.  The observed
+information is the negative of the same Hessian.  Least squares (LSE/WLSE)
+runs a Nelder-Mead simplex from the quantile seed and restarts it once.
 
 The default fitting mode is ``reduced``: the likelihood depends on
 ``alpha`` and ``gamma`` only through ``theta = gamma * alpha**(-beta)``, so
 the four-parameter (``full``) mode sits on a flat ridge and is offered only
 for comparison, with an ill-conditioning warning on its information matrix.
+Full-mode MLE solves the reduced problem and maps the optimum back through
+theta, using the model's fixed alpha or gamma, or alpha = 1 when both are
+free; its information follows by the chain rule through the same map.
 """
 
 from __future__ import annotations
@@ -49,11 +59,19 @@ _LAM_BOUNDARY = 0.999
 # condition-number thresholds for the observed information
 _ILL_CONDITIONED = 1e6
 _SINGULAR = 1e12
+# transform coordinates are clamped to [-_Z_MAX, _Z_MAX] so exp(z) stays finite
+_Z_MAX = 700.0
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fitting request: model, parameterization mode, method and optimizer knobs."""
+    """Fitting request: model, parameterization mode, method and optimizer knobs.
+
+    ``max_iter`` bounds the iterations of each optimizer run: the Newton
+    iterations of an MLE solve, the simplex iterations of LSE/WLSE.
+    ``f_tol`` and ``x_tol`` are the simplex tolerances and affect only
+    LSE/WLSE; MLE stops on the gradient in transform space.
+    """
 
     model: SubModel = SubModel.TGIW
     mode: str = "reduced"  # "reduced" | "full"
@@ -82,12 +100,10 @@ class FitConfig:
 class ObservedInformation:
     """Negative Hessian of the log-likelihood over a set of free parameters.
 
-    ``ill_conditioned`` fires when the condition number exceeds 1e6 or when
-    the smallest singular value sits below the finite-difference noise floor
-    (the alpha-gamma ridge makes the four-parameter matrix analytically
-    singular, so its smallest eigenvalue is pure differencing noise).
-    ``singular`` (condition number above 1e12 or non-finite entries) refuses
-    inversion outright.
+    ``ill_conditioned`` fires when the condition number exceeds 1e6 (the
+    alpha-gamma ridge makes the four-parameter matrix singular wherever the
+    theta-score vanishes).  ``singular`` (condition number above 1e12 or
+    non-finite entries) refuses inversion outright.
     """
 
     matrix: np.ndarray
@@ -134,77 +150,106 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# likelihood and score
+# likelihood kernel, score and the full-parameter chain rule
 
 
-def _log_likelihood_values(p: TgiwParams, x: np.ndarray) -> float:
-    """Log-likelihood evaluated directly in log space (never via pdf products)."""
-    n = x.size
-    with np.errstate(over="ignore"):
-        t = (p.alpha * x) ** (-p.beta)
-    u = np.exp(-t * p.gamma)
-    bracket = 1.0 + p.lam - 2.0 * p.lam * u
-    if np.any(bracket <= 0.0):
-        return -math.inf
-    return float(
-        n * math.log(p.alpha * p.beta * p.gamma)
-        - (p.beta + 1.0) * np.sum(np.log(p.alpha * x))
-        - p.gamma * np.sum(t)
-        + np.sum(np.log(bracket))
-    )
+def _reduced_loglik(logx: np.ndarray, log_theta: float, beta: float, lam: float, derivatives: bool = True):
+    """Log-likelihood in (theta, beta, lam) and, optionally, its gradient and Hessian.
+
+    theta enters by its logarithm, so l stays defined wherever theta itself
+    would overflow.  One vector pass over log x with t = exp(log theta - beta * log x),
+    u = exp(-t), w = -expm1(-t) = 1 - u (exact for small t) and the density
+    factor B = 1 + lam - 2*lam*u, written (1 - lam)*u + (1 + lam)*w: a sum of
+    nonnegative terms, so it keeps full precision in both tails at both ends
+    of lam.  Then
+
+        l = n log(beta*theta) - (beta + 1) sum(log x) + sum(g),  g = -t + log B,
+
+    and each g depends on (theta, beta) only through log t, whose derivatives
+    are 1/theta and -log x.  Returns ``(l, gradient, Hessian)``; the
+    derivatives are None when not requested or when l is -inf (a term of
+    zero density).
+    """
+    n = logx.size
+    log_theta, beta, lam = np.float64(log_theta), np.float64(beta), np.float64(lam)
+    with np.errstate(all="ignore"):
+        t = np.exp(log_theta - beta * logx)
+        u = np.exp(-t)
+        w = -np.expm1(-t)
+        B = (1.0 - lam) * u + (1.0 + lam) * w
+        sum_logx = logx.sum()
+        ll = float(n * (math.log(beta) + log_theta) - (beta + 1.0) * sum_logx - t.sum() + np.log(B).sum())
+        if not derivatives or not math.isfinite(ll):
+            return ll, None, None
+        theta = np.exp(log_theta)
+        a = u / B
+        r = 2.0 * lam * a  # d log B / dt
+        q = (w - u) / B  # d log B / dlam
+        g_t = r - 1.0
+        g_tt = -r * (1.0 + r)
+        tg = t * g_t  # dg / dlog t
+        h = tg + t * t * g_tt  # d2g / dlog t^2
+        c = t * (2.0 * a - r * q)  # d2g / dlog t dlam
+        sum_tg = tg.sum()
+        grad = np.array([(n + sum_tg) / theta, n / beta - sum_logx - logx @ tg, q.sum()])
+        h_tt = (h.sum() - sum_tg - n) / theta / theta
+        h_tb = -(logx @ h) / theta
+        h_tl = c.sum() / theta
+        h_bb = (logx * logx) @ h - n / (beta * beta)
+        h_bl = -(logx @ c)
+        h_ll = -(q @ q)
+    hess = np.array([[h_tt, h_tb, h_tl], [h_tb, h_bb, h_bl], [h_tl, h_bl, h_ll]])
+    return ll, grad, hess
+
+
+def _full_chain(p: TgiwParams, grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian in (alpha, beta, gamma, lam) from those in (theta, beta, lam).
+
+    The likelihood depends on (alpha, gamma) only through
+    theta = gamma * alpha**(-beta), so with J the Jacobian of
+    (theta, beta, lam) and T the Hessian of theta, both over
+    (alpha, beta, gamma, lam): gradient = J' g, Hessian = J' H J + g_theta T.
+    """
+    a, b, c = p.alpha, p.beta, p.gamma
+    theta = c * a ** (-b)
+    la = math.log(a)
+    J = np.array([
+        [-b * theta / a, -theta * la, theta / c, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    T = np.zeros((4, 4))
+    T[0, 0] = b * (b + 1.0) * theta / (a * a)
+    T[0, 1] = T[1, 0] = theta * (b * la - 1.0) / a
+    T[0, 2] = T[2, 0] = -b * theta / (a * c)
+    T[1, 1] = theta * la * la
+    T[1, 2] = T[2, 1] = -theta * la / c
+    full = J.T @ hess @ J + grad[0] * T
+    return J.T @ grad, 0.5 * (full + full.T)
+
+
+def _loglik_at(p: TgiwParams, d: Dataset, derivatives: bool = True):
+    """The kernel at a four-parameter point: log theta = log gamma - beta log alpha."""
+    log_theta = math.log(p.gamma) - p.beta * math.log(p.alpha)
+    return _reduced_loglik(np.log(d.values), log_theta, p.beta, p.lam, derivatives)
 
 
 def log_likelihood(p: TgiwParams, d: Dataset) -> float:
     """Sample log-likelihood; -inf when a term's density is zero (|lam| = 1 edge)."""
-    return _log_likelihood_values(p, d.values)
+    return _loglik_at(p, d, derivatives=False)[0]
 
 
 def score(p: TgiwParams, d: Dataset) -> np.ndarray:
     """Gradient of the log-likelihood in (alpha, beta, gamma, lam) order.
 
-    Derived by differentiating the log-likelihood itself; each component
-    matches central finite differences (tested), which is the correctness
-    oracle.
+    The exact (theta, beta, lam) gradient carried through
+    theta = gamma * alpha**(-beta); each component matches central finite
+    differences (tested), which is the correctness oracle.
     """
-    return _score_values(p, d.values)
-
-
-def _score_values(p: TgiwParams, x: np.ndarray) -> np.ndarray:
-    n = x.size
-    alpha, beta, gamma, lam = p.as_tuple()
-    t = (alpha * x) ** (-beta)
-    u = np.exp(-gamma * t)
-    denom = 1.0 + lam - 2.0 * lam * u
-    if np.any(denom <= 0.0):
+    _, grad, hess = _loglik_at(p, d)
+    if grad is None:
         raise ValueError("score undefined: a likelihood term has zero density")
-    lnax = np.log(alpha * x)
-    tu_d = t * u / denom
-    d_alpha = (
-        n / alpha
-        - n * (beta + 1.0) / alpha
-        + gamma * beta / alpha * np.sum(t)
-        - 2.0 * lam * gamma * beta / alpha * np.sum(tu_d)
-    )
-    d_beta = (
-        n / beta
-        - np.sum(lnax)
-        + gamma * np.sum(t * lnax)
-        - 2.0 * lam * gamma * np.sum(t * lnax * u / denom)
-    )
-    d_gamma = n / gamma - np.sum(t) + 2.0 * lam * np.sum(tu_d)
-    d_lam = np.sum((1.0 - 2.0 * u) / denom)
-    return np.array([d_alpha, d_beta, d_gamma, d_lam])
-
-
-def _reduced_gradient(rp: ReducedParams, x: np.ndarray) -> np.ndarray:
-    """Gradient of the log-likelihood in (theta, beta, lam) coordinates.
-
-    With alpha fixed at 1 the reduced likelihood is the full one at
-    (1, beta, theta, lam), so the gradient is the (gamma, beta, lam) slice
-    of the four-parameter score.
-    """
-    s = _score_values(expand_params(rp), x)
-    return np.array([s[2], s[1], s[3]])
+    return _full_chain(p, grad, hess)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +289,7 @@ def _to_z(name: str, value: float) -> float:
 def _from_z(name: str, z: float) -> float:
     if name == "lam":
         return math.tanh(z)
-    return math.exp(min(z, 700.0))
+    return math.exp(min(z, _Z_MAX))
 
 
 def _params_from_z(z: np.ndarray, names: tuple[str, ...], fixed: dict[str, float], mode: str) -> TgiwParams:
@@ -277,8 +322,135 @@ def _quantile_seed(x: np.ndarray, names: tuple[str, ...], fixed: dict[str, float
     return np.array([_to_z(n, seed_values[n]) for n in names])
 
 
+def _full_point(model: SubModel, rp: ReducedParams) -> TgiwParams:
+    """Four-parameter point of ``model`` at rp, through theta = gamma * alpha**(-beta).
+
+    A fixed gamma determines alpha; otherwise alpha is the model's fixed
+    value, or 1 when both are free.
+    """
+    fixed = model.fixed
+    if "gamma" in fixed:
+        gamma = fixed["gamma"]
+        alpha = _from_z("alpha", (math.log(gamma) - math.log(rp.theta)) / rp.beta)
+    else:
+        alpha = fixed.get("alpha", 1.0)
+        gamma = _from_z("gamma", math.log(rp.theta) + rp.beta * math.log(alpha))
+    return TgiwParams(alpha=alpha, beta=rp.beta, gamma=gamma, lam=rp.lam)
+
+
 # ---------------------------------------------------------------------------
-# objectives
+# maximum likelihood: trust-region Newton in transform space
+
+
+def _grad_tol(n: int) -> float:
+    """Convergence bound on the largest transform-space score component.
+
+    The z-space score is dimensionless; its sampling noise grows like sqrt(n).
+    """
+    return 1e-6 * max(1.0, math.sqrt(n))
+
+
+def _z_derivatives(logx: np.ndarray, names: tuple[str, ...], fixed: dict[str, float], z: np.ndarray):
+    """-l with its exact gradient and Hessian in z over ``names``: one kernel pass.
+
+    z = log for theta and beta (dv/dz = d2v/dz2 = v) and atanh for lam
+    (dv/dz = 1 - lam**2, d2v/dz2 = -2 lam (1 - lam**2)).  z is clamped to
+    [-_Z_MAX, _Z_MAX]; a point where l or a derivative is not finite reads
+    as +inf, which the trust region rejects.
+    """
+    k = len(names)
+    values = {"lam": 0.0, **fixed}
+    jac, curv = np.empty(k), np.empty(k)
+    for i, (name, zi) in enumerate(zip(names, np.clip(z, -_Z_MAX, _Z_MAX))):
+        v = _from_z(name, float(zi))
+        values[name] = v
+        jac[i] = 1.0 - v * v if name == "lam" else v
+        curv[i] = -2.0 * v * jac[i] if name == "lam" else v
+    ll, grad, hess = _reduced_loglik(logx, math.log(values["theta"]), values["beta"], values["lam"])
+    if grad is None:
+        return math.inf, np.zeros(k), np.zeros((k, k))
+    free = [_REDUCED_ORDER.index(n) for n in names]
+    with np.errstate(all="ignore"):
+        g = grad[free] * jac
+        H = hess[np.ix_(free, free)] * np.outer(jac, jac) + np.diag(grad[free] * curv)
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+        return math.inf, np.zeros(k), np.zeros((k, k))
+    return -ll, -g, -H
+
+
+def _newton(logx: np.ndarray, names: tuple[str, ...], fixed: dict[str, float], z0: np.ndarray,
+            max_iter: int, gtol: float):
+    """One trust-exact solve over ``names``; returns (z, -l, z-gradient, iterations)."""
+    last: dict = {}
+
+    def derivatives(z: np.ndarray):
+        if "z" not in last or not np.array_equal(z, last["z"]):
+            last["z"], last["out"] = z.copy(), _z_derivatives(logx, names, fixed, z)
+        return last["out"]
+
+    res = minimize(
+        lambda z: derivatives(z)[0],
+        z0,
+        jac=lambda z: derivatives(z)[1],
+        hess=lambda z: derivatives(z)[2],
+        method="trust-exact",
+        options=dict(gtol=gtol, maxiter=max_iter),
+    )
+    z, f, g, nit = np.clip(res.x, -_Z_MAX, _Z_MAX), float(res.fun), res.jac, int(res.nit)
+    if res.status == 2:
+        # the solver stops once the predicted decrease is below the rounding
+        # of -l (large n); the quadratic model is then exact, so take its
+        # Newton step unless that raises -l by more than a few ulps
+        try:
+            z_new = z - np.linalg.solve(res.hess, g)
+        except np.linalg.LinAlgError:
+            z_new = z
+        f_new, g_new, _ = derivatives(z_new)
+        if f_new <= f + 4.0 * np.spacing(f):
+            z, f, g, nit = z_new, f_new, g_new, nit + 1
+    return z, f, np.asarray(g, dtype=float), nit
+
+
+def _fit_mle(d: Dataset, cfg: FitConfig) -> tuple[ReducedParams, int, float]:
+    """Reduced-mode MLE of cfg.model; returns (estimate, iterations, z-gradient norm)."""
+    names, fixed = _free_names(cfg.model, "reduced")
+    k = len(names)
+    # dividing by the median makes the fit in z free of the data's unit:
+    # t = theta_s * (x/m)**-beta with theta = theta_s * m**beta
+    m = float(np.median(d.values))
+    xs = d.values / m
+    logx = np.log(xs)
+    gtol = _grad_tol(d.n)
+    z0 = _quantile_seed(xs, names, fixed, "reduced")
+
+    first, sub_iterations = z0, 0
+    if "lam" in names:
+        # start from the lam = 0 sub-model's optimum (lam is the last name), lam released from 0
+        sub = _newton(logx, names[:-1], {**fixed, "lam": 0.0}, z0[:-1], cfg.max_iter, gtol)
+        first, sub_iterations = np.append(sub[0], 0.0), sub[3]
+
+    rng = np.random.default_rng(cfg.seed)
+    starts = [(first, sub_iterations)] + [
+        (z0 + rng.uniform(-2.0, 2.0, size=k), 0) for _ in range(cfg.multistart - 1)
+    ]
+    best = None
+    for start, prior in starts:
+        z, f, g, nit = _newton(logx, names, fixed, start, cfg.max_iter, gtol)
+        if math.isfinite(f) and (best is None or f < best[1]):
+            best = (z, f, g, nit + prior)
+    if best is None:
+        raise ValueError("all optimizer starts produced non-finite objectives (degenerate data)")
+    z, _, g, iterations = best
+
+    values = {"lam": 0.0, **fixed}
+    values.update((name, _from_z(name, float(zi))) for name, zi in zip(names, z))
+    theta = _from_z("theta", math.log(values["theta"]) + values["beta"] * math.log(m))
+    rp = ReducedParams(theta=theta, beta=values["beta"], lam=values["lam"])
+    return rp, iterations, float(np.max(np.abs(g)))
+
+
+# ---------------------------------------------------------------------------
+# least squares
 
 
 def wlse_weights(n: int) -> np.ndarray:
@@ -296,51 +468,6 @@ def _ls_objective(p: TgiwParams, x: np.ndarray, weights: np.ndarray | None) -> f
     return float(np.sum(weights * resid * resid))
 
 
-# ---------------------------------------------------------------------------
-# fit driver
-
-
-def _neg_objective_factory(method: str, x: np.ndarray, names, fixed, mode):
-    weights = wlse_weights(x.size) if method == "wlse" else None
-
-    def objective(z: np.ndarray) -> float:
-        try:
-            p = _params_from_z(z, names, fixed, mode)
-        except ValueError:
-            return math.inf
-        if method == "mle":
-            ll = _log_likelihood_values(p, x)
-            return math.inf if not math.isfinite(ll) else -ll
-        return _ls_objective(p, x, weights)
-
-    return objective
-
-
-def _mle_grad_z(z: np.ndarray, x: np.ndarray, names, fixed, mode) -> np.ndarray:
-    """Gradient of the negative log-likelihood in transform space (chain rule)."""
-    p = _params_from_z(z, names, fixed, mode)
-    if mode == "full":
-        g = dict(zip(_FULL_ORDER, _score_values(p, x)))
-    else:
-        rp = reduce_params(p)
-        g = dict(zip(_REDUCED_ORDER, _reduced_gradient(rp, x)))
-    out = []
-    for name, zi in zip(names, z):
-        v = _from_z(name, float(zi))
-        jac = (1.0 - v * v) if name == "lam" else v
-        out.append(-g[name] * jac)
-    return np.array(out)
-
-
-def _free_space_gradient(p: TgiwParams, x: np.ndarray, names, mode) -> np.ndarray:
-    """Log-likelihood gradient in the free original coordinates (not transformed)."""
-    if mode == "full":
-        g = dict(zip(_FULL_ORDER, _score_values(p, x)))
-    else:
-        g = dict(zip(_REDUCED_ORDER, _reduced_gradient(reduce_params(p), x)))
-    return np.array([g[n] for n in names])
-
-
 def _fd_gradient(fn, z: np.ndarray) -> np.ndarray:
     h = np.finfo(float).eps ** (1 / 3) * np.maximum(1.0, np.abs(z))
     out = np.empty_like(z)
@@ -351,19 +478,21 @@ def _fd_gradient(fn, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit(d: Dataset, cfg: FitConfig) -> FitResult:
-    names, fixed = _free_names(cfg.model, cfg.mode)
-    k = len(names)
-    if d.n <= k:
-        raise ValueError(
-            f"dataset of size {d.n} cannot identify {k} free parameters (need n > k)"
-        )
+def _fit_ls(d: Dataset, cfg: FitConfig, names, fixed) -> tuple[TgiwParams, float, int, float, bool]:
+    """Nelder-Mead LSE/WLSE; returns (params, objective, iterations, gradient norm, ok)."""
     x = d.values
-    objective = _neg_objective_factory(cfg.method, x, names, fixed, cfg.mode)
+    weights = wlse_weights(x.size) if cfg.method == "wlse" else None
+
+    def objective(z: np.ndarray) -> float:
+        try:
+            p = _params_from_z(z, names, fixed, cfg.mode)
+        except ValueError:
+            return math.inf
+        return _ls_objective(p, x, weights)
 
     z0 = _quantile_seed(x, names, fixed, cfg.mode)
     rng = np.random.default_rng(cfg.seed)
-    starts = [z0] + [z0 + rng.uniform(-2.0, 2.0, size=k) for _ in range(cfg.multistart - 1)]
+    starts = [z0] + [z0 + rng.uniform(-2.0, 2.0, size=len(names)) for _ in range(cfg.multistart - 1)]
 
     options = dict(xatol=cfg.x_tol, fatol=cfg.f_tol, maxiter=cfg.max_iter, maxfev=2 * cfg.max_iter)
     best = None
@@ -377,40 +506,42 @@ def _fit(d: Dataset, cfg: FitConfig) -> FitResult:
     iterations = int(best.nit)
     optimizer_ok = bool(best.success)
     z_hat, f_hat = np.asarray(best.x, dtype=float), float(best.fun)
+    restart = minimize(objective, z_hat, method="Nelder-Mead", options=options)
+    if math.isfinite(restart.fun) and restart.fun <= f_hat:
+        improvement = f_hat - float(restart.fun)
+        z_hat, f_hat = np.asarray(restart.x, dtype=float), float(restart.fun)
+        iterations += int(restart.nit)
+        optimizer_ok = optimizer_ok and improvement <= max(cfg.f_tol, 1e-9) * (1.0 + abs(f_hat))
+    gradient_norm = float(np.max(np.abs(_fd_gradient(objective, z_hat))))
+    return _params_from_z(z_hat, names, fixed, cfg.mode), f_hat, iterations, gradient_norm, optimizer_ok
+
+
+# ---------------------------------------------------------------------------
+# fit driver
+
+
+def _fit(d: Dataset, cfg: FitConfig) -> FitResult:
+    names, fixed = _free_names(cfg.model, cfg.mode)
+    k = len(names)
+    if d.n <= k:
+        raise ValueError(
+            f"dataset of size {d.n} cannot identify {k} free parameters (need n > k)"
+        )
+    if d.values[0] == d.values[-1]:
+        raise ValueError("all observations are equal: degenerate data cannot be fitted")
 
     if cfg.method == "mle":
-        polish = minimize(
-            objective,
-            z_hat,
-            jac=lambda z: _mle_grad_z(z, x, names, fixed, cfg.mode),
-            method="BFGS",
-            options=dict(gtol=1e-9 * max(1.0, math.sqrt(d.n)), maxiter=500),
-        )
-        if math.isfinite(polish.fun) and polish.fun <= f_hat:
-            z_hat, f_hat = np.asarray(polish.x, dtype=float), float(polish.fun)
-            iterations += int(polish.nit)
+        reduced, iterations, gradient_norm = _fit_mle(d, cfg)
+        params = _full_point(cfg.model, reduced) if cfg.mode == "full" else expand_params(reduced)
+        converged = gradient_norm <= _grad_tol(d.n)
     else:
-        restart = minimize(objective, z_hat, method="Nelder-Mead", options=options)
-        if math.isfinite(restart.fun) and restart.fun <= f_hat:
-            improvement = f_hat - float(restart.fun)
-            z_hat, f_hat = np.asarray(restart.x, dtype=float), float(restart.fun)
-            iterations += int(restart.nit)
-            optimizer_ok = optimizer_ok and improvement <= max(cfg.f_tol, 1e-9) * (1.0 + abs(f_hat))
-
-    params = _params_from_z(z_hat, names, fixed, cfg.mode)
-    reduced = reduce_params(params)
+        params, ls_objective, iterations, gradient_norm, converged = _fit_ls(d, cfg, names, fixed)
+        reduced = reduce_params(params)
     estimates = _estimates_dict(params, reduced, names, cfg.mode)
-    neg_ll = -_log_likelihood_values(params, x)
+    neg_ll = -_loglik_at(params, d, derivatives=False)[0]
 
     boundary = "lam" in names and abs(params.lam) > _LAM_BOUNDARY
-    if cfg.method == "mle":
-        grad = _free_space_gradient(params, x, names, cfg.mode)
-    else:
-        grad = _fd_gradient(objective, z_hat)
-    gradient_norm = float(np.max(np.abs(grad)))
-
-    grad_tol = 1e-4 * max(1.0, math.sqrt(d.n)) if cfg.method == "mle" else math.inf
-    converged = optimizer_ok and not boundary and gradient_norm <= grad_tol
+    converged = converged and not boundary
 
     message = ""
     if boundary:
@@ -428,7 +559,7 @@ def _fit(d: Dataset, cfg: FitConfig) -> FitResult:
         params=params,
         reduced=reduced,
         neg_log_lik=neg_ll,
-        objective=f_hat,
+        objective=neg_ll if cfg.method == "mle" else ls_objective,
         converged=converged,
         iterations=iterations,
         gradient_norm=gradient_norm,
@@ -507,80 +638,42 @@ def observed_information(
     mode: str = "reduced",
     names: tuple[str, ...] | None = None,
 ) -> ObservedInformation:
-    """Negative Hessian of the log-likelihood at p by central finite differences.
+    """Exact negative Hessian of the log-likelihood at p.
 
-    Steps are scaled per parameter as h = eps**(1/3) * max(1, |value|) and the
-    matrix is symmetrized.  ``mode`` selects the coordinates: the identifiable
-    (theta, beta, lam) or the four-parameter (alpha, beta, gamma, lam) space;
-    the latter is flagged ill-conditioned on the alpha-gamma ridge.
+    ``mode`` selects the coordinates: the identifiable (theta, beta, lam) or
+    the four-parameter (alpha, beta, gamma, lam), reached by the chain rule
+    through theta = gamma * alpha**(-beta); the latter is flagged
+    ill-conditioned on the alpha-gamma ridge.  A lam past the boundary
+    threshold used by the fits is refused: the fit there is non-regular.
     """
     if mode not in ("reduced", "full"):
         raise ValueError(f"mode must be 'reduced' or 'full', got {mode!r}")
-    x = d.values
-    if mode == "full":
-        order = _FULL_ORDER
-        base = {"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma, "lam": p.lam}
-
-        def neg_ll(values: dict[str, float]) -> float:
-            return -_log_likelihood_values(TgiwParams(**values), x)
-
-    else:
-        rp = reduce_params(p)
-        order = _REDUCED_ORDER
-        base = {"theta": rp.theta, "beta": rp.beta, "lam": rp.lam}
-
-        def neg_ll(values: dict[str, float]) -> float:
-            q = ReducedParams(theta=values["theta"], beta=values["beta"], lam=values["lam"])
-            return -_log_likelihood_values(expand_params(q), x)
-
+    order = _FULL_ORDER if mode == "full" else _REDUCED_ORDER
     names = tuple(names) if names is not None else order
     unknown = [n for n in names if n not in order]
     if unknown:
         raise ValueError(f"names {unknown} not valid for mode {mode!r}")
+    if "lam" in names and abs(p.lam) > _LAM_BOUNDARY:
+        raise ValueError("lam is too close to the [-1, 1] boundary for interior curvature")
 
-    v0 = np.array([base[n] for n in names], dtype=float)
-    h = np.finfo(float).eps ** (1 / 3) * np.maximum(1.0, np.abs(v0))
-    if "lam" in names:
-        i = names.index("lam")
-        if 1.0 - abs(v0[i]) <= h[i]:
-            raise ValueError(
-                "lam is too close to the [-1, 1] boundary for interior curvature"
-            )
+    _, grad, hess = _loglik_at(p, d)
+    if hess is None:
+        raise ValueError("information undefined: a likelihood term has zero density")
+    if mode == "full":
+        hess = _full_chain(p, grad, hess)[1]
+    idx = [order.index(n) for n in names]
+    H = -hess[np.ix_(idx, idx)]
 
-    def f(v: np.ndarray) -> float:
-        values = dict(base)
-        values.update({n: float(vi) for n, vi in zip(names, v)})
-        return neg_ll(values)
-
-    k = len(names)
-    H = np.zeros((k, k))
-    f0 = f(v0)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        H[i, i] = (f(v0 + ei) + f(v0 - ei) - 2.0 * f0) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                f(v0 + ei + ej) + f(v0 - ei - ej) - f(v0 + ei - ej) - f(v0 - ei + ej)
-            ) / (4.0 * h[i] * h[j])
-    H = 0.5 * (H + H.T)
-
-    # central-difference entries carry absolute noise ~ eps^(1/3) * |f0|, so a
-    # smallest singular value at or below that scale is indistinguishable from 0
-    noise_floor = 10.0 * np.finfo(float).eps ** (1 / 3) * max(1.0, abs(f0))
     if not np.all(np.isfinite(H)):
-        cond, smin = math.inf, 0.0
+        cond = math.inf
     else:
         s = np.linalg.svd(H, compute_uv=False)
-        smin = float(s[-1])
-        cond = math.inf if smin == 0.0 else float(s[0] / smin)
+        cond = math.inf if s[-1] == 0.0 else float(s[0] / s[-1])
     return ObservedInformation(
         matrix=H,
         names=names,
         condition_number=cond,
-        ill_conditioned=cond > _ILL_CONDITIONED or smin < noise_floor,
+        ill_conditioned=cond > _ILL_CONDITIONED,
         singular=(not math.isfinite(cond)) or cond > _SINGULAR,
     )
 

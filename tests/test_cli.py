@@ -90,6 +90,13 @@ class TestFitCommand:
         assert code == 2
         assert "line 2" in err
 
+    def test_degenerate_data_is_an_input_error(self, capsys, tmp_path):
+        f = tmp_path / "equal.csv"
+        f.write_text("3.5\n" * 10)
+        code, out, err = run(capsys, "fit", "--data", str(f), "--model", "tgiw")
+        assert code == 2
+        assert "equal" in err and out == ""
+
     def test_column_selection(self, capsys, tmp_path):
         f = tmp_path / "cols.csv"
         f.write_text("id,weeks\n1,0.4\n2,1.9\n3,3.3\n4,0.9\n")

@@ -114,14 +114,55 @@ class TestSurvivalHazard:
             assert np.all(np.asarray(hazard(p, xs)) >= 0.0)
 
     def test_hazard_overflow_signal(self):
+        # true survival 1e-400 is below the smallest float; at (1, 1, 1, 0)
+        # and x = 1e20 it is 1e-20, which survival now represents exactly
+        p = TgiwParams(1, 2, 1, 0)
         with pytest.raises(OverflowError):
-            hazard(TgiwParams(1, 1, 1, 0), 1e20)
+            hazard(p, 1e200)
+        with pytest.raises(OverflowError):
+            cumulative_hazard(p, 1e200)
+        assert hazard(TgiwParams(1, 1, 1, 0), 1e20) == pytest.approx(1e-20, rel=1e-12)
 
     def test_hazard_is_log_survival_slope(self):
         p = TgiwParams(1, 1.5, 2, -0.4)
         x, h = 2.0, 1e-6
         slope = -(math.log(survival(p, x + h)) - math.log(survival(p, x - h))) / (2 * h)
         assert hazard(p, x) == pytest.approx(slope, rel=1e-8)
+
+
+def _tail_oracle(p, x):
+    """(survival, hazard, cumulative hazard) at 50 digits; expm1 keeps 1 - u exact as t -> 0."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, b, g, lam = (mp.mpf(v) for v in p.as_tuple())
+        x = mp.mpf(x)
+        t = g * (a * x) ** -b
+        u = mp.exp(-t)
+        s = -mp.expm1(-t) * (1 - lam * u)
+        F = u * (1 + lam - lam * u)
+        f = b * t / x * u * (1 + lam - 2 * lam * u)
+        H = -mp.log1p(-F) if F < 0.5 else -mp.log(s)
+        return float(s), float(f / s), float(H)
+
+
+class TestTailExactness:
+    """Survival, hazard and cumulative hazard against 50-digit mpmath, both tails."""
+
+    XS = np.geomspace(1e-3, 1e12, 31)
+
+    @pytest.mark.parametrize("lam", [-1.0, -0.5, 0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    def test_matches_mpmath(self, lam, beta, gamma):
+        p = TgiwParams(1.3, beta, gamma, lam)
+        got = np.array([survival(p, self.XS), hazard(p, self.XS), cumulative_hazard(p, self.XS)])
+        want = np.array([_tail_oracle(p, x) for x in self.XS]).T
+        rel = np.abs(got - want) / np.maximum(np.abs(want), np.finfo(float).tiny)
+        assert rel[0].max() <= 1e-14
+        # t = gamma*(alpha*x)**-beta carries one rounding, amplified by t in exp(-t)
+        assert rel[1].max() <= 1e-12
+        assert rel[2].max() <= 1e-12
 
 
 class TestCumulativeHazard:

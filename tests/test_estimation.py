@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tgiw import (
     ReducedParams,
     SubModel,
     TgiwParams,
+    compare,
     embedded_dataset,
     expand_params,
     fit_lse,
@@ -18,6 +20,7 @@ from tgiw import (
     log_likelihood,
     observed_information,
     quantile,
+    reduce_params,
     sample,
     score,
     wald_intervals,
@@ -184,8 +187,83 @@ class TestFitMle:
         assert tgiw_fit.neg_log_lik <= best
 
 
+    def test_bundled_fit_iteration_count(self, tgiw_fit):
+        assert tgiw_fit.iterations <= 40
+
+    @pytest.mark.parametrize("k", range(-8, 9))
+    def test_scale_equivariance(self, weeks, tgiw_fit, k):
+        """Rescaling the data moves only theta and shifts -l by n log c."""
+        c = 10.0**k
+        fr = fit_mle(Dataset(values=weeks.values * c), FitConfig(model=SubModel.TGIW))
+        assert fr.converged
+        assert fr.reduced.beta == pytest.approx(tgiw_fit.reduced.beta, abs=1e-6)
+        assert fr.reduced.lam == pytest.approx(tgiw_fit.reduced.lam, abs=1e-6)
+        assert fr.neg_log_lik == pytest.approx(tgiw_fit.neg_log_lik + weeks.n * math.log(c), abs=1e-6)
+
+    def test_degenerate_data_raises_value_error(self):
+        d = Dataset(values=np.full(10, 2.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in (SubModel.TGIW, SubModel.GIW):
+                with pytest.raises(ValueError, match="equal"):
+                    fit_mle(d, FitConfig(model=model))
+
+    def test_near_degenerate_data_fits_without_warnings(self):
+        d = Dataset(values=np.array([1.0] * 9 + [1.0 + 1e-9]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fr = fit_mle(d, FitConfig(model=SubModel.TGIW))
+            except ValueError:
+                return
+        assert math.isfinite(fr.neg_log_lik)
+
+
 def expand_params_from(theta, beta, lam):
     return expand_params(ReducedParams(theta=theta, beta=beta, lam=lam))
+
+
+# generating point of the synthetic samples: the bundled data's GIW fit
+SYNTH_THETA, SYNTH_BETA = 1.1256, 0.4791
+
+
+def synthetic(lam, n, seed, scale=1.0):
+    p = TgiwParams(1.0 / scale, SYNTH_BETA, SYNTH_THETA, lam)
+    return Dataset(values=sample(p, n, seed=seed))
+
+
+class TestNesting:
+    """A transmuted fit starts from its lam = 0 sub-model's optimum, so it never ends worse."""
+
+    def test_sample_where_a_quantile_seed_start_ends_worse(self):
+        # from the quantile seed alone Newton stops at -l = -211.2205 here,
+        # above the base model's -211.2290, and compare reports a nesting violation
+        d = synthetic(0.7, 50, 916624403, scale=1e-3)
+        giw = fit_mle(d, FitConfig(model=SubModel.GIW))
+        tgiw = fit_mle(d, FitConfig(model=SubModel.TGIW))
+        assert giw.neg_log_lik == pytest.approx(-211.2290, abs=1e-4)
+        assert tgiw.neg_log_lik <= giw.neg_log_lik
+        compare(d, [SubModel.GIW, SubModel.TGIW])  # raises on a nesting violation
+
+    @pytest.mark.parametrize("lam", [-0.7, 0.0, 0.7])
+    def test_seeded_samples(self, lam):
+        for seed in range(20):
+            d = synthetic(lam, 50, 7000 + seed)
+            for full, base in ((SubModel.TGIW, SubModel.GIW), (SubModel.TIR, SubModel.IR)):
+                restricted = fit_mle(d, FitConfig(model=base))
+                fr = fit_mle(d, FitConfig(model=full))
+                assert fr.neg_log_lik <= restricted.neg_log_lik
+                assert fr.converged or fr.boundary_lambda
+
+
+class TestLargeSample:
+    @pytest.mark.parametrize("lam, seed", [(0.0, 1970154576), (-0.7, 543052427)])
+    def test_converges_at_n_1e5(self, lam, seed):
+        """Samples on which a simplex fit stopped unconverged after thousands of iterations."""
+        fr = fit_mle(synthetic(lam, 100_000, seed))
+        assert fr.converged
+        assert fr.iterations <= 40
+        assert fr.std_errors is not None
 
 
 class TestLeastSquares:
@@ -298,6 +376,32 @@ class TestObservedInformation:
         )
         with pytest.raises(ValueError, match="singular"):
             near_singular.covariance()
+
+    def test_exact_matrices_match_score_differences(self, weeks):
+        """-d(score)/dp by central differences: full mode, and reduced at alpha = 1."""
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            p = TgiwParams(
+                alpha=math.exp(rng.uniform(-1.0, 1.0)),
+                beta=math.exp(rng.uniform(-1.0, 0.7)),
+                gamma=math.exp(rng.uniform(-1.0, 1.0)),
+                lam=rng.uniform(-0.9, 0.9),
+            )
+            v = np.array(p.as_tuple())
+            fd = np.empty((4, 4))
+            for j in range(4):
+                h = 1e-6 * max(1.0, abs(v[j]))
+                e = np.zeros(4)
+                e[j] = h
+                fd[:, j] = -(score(TgiwParams(*(v + e)), weeks) - score(TgiwParams(*(v - e)), weeks)) / (2 * h)
+            scale = np.abs(fd).max()
+            full = observed_information(p, weeks, mode="full").matrix
+            np.testing.assert_allclose(full, fd, rtol=1e-5, atol=1e-6 * scale)
+            # at alpha = 1, gamma is theta: reduced (theta, beta, lam) is a slice
+            rp = expand_params(reduce_params(p))
+            reduced = observed_information(rp, weeks, mode="reduced").matrix
+            at_one = observed_information(rp, weeks, mode="full", names=("gamma", "beta", "lam")).matrix
+            np.testing.assert_allclose(reduced, at_one, rtol=1e-12)
 
     def test_lambda_boundary_guard(self, weeks):
         p = expand_params_from(theta=0.7, beta=0.5, lam=0.9999999)
