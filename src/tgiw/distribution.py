@@ -1,9 +1,10 @@
 """Exact distribution functions of the transmuted generalized inverse Weibull.
 
-All functions accept a scalar or array ``x`` and return a matching scalar or
-``ndarray``.  They are pure functions of their inputs and safe for concurrent
-use; the sampler takes an explicit seed or generator rather than touching
-global state.
+All functions accept a scalar or array ``x`` and return a Python ``float``
+or an ``ndarray`` to match.  A scalar runs the same code as an array, on
+float64 scalars, without building an array.  They are pure functions of their
+inputs and safe for concurrent use; the sampler takes an explicit seed or
+generator rather than touching global state.
 """
 
 from __future__ import annotations
@@ -44,141 +45,179 @@ class MomentNotDefinedError(ValueError):
     """
 
 
-def _check_x(x) -> np.ndarray:
-    xa = np.asarray(x, dtype=float)
-    if xa.size == 0:
-        raise ValueError("x must be nonempty")
-    if not np.all(np.isfinite(xa)) or np.any(xa <= 0.0):
-        raise ValueError("x must be finite and strictly positive")
-    return xa
+def _all_positive(v) -> bool:
+    return v.min() > 0.0 if isinstance(v, np.ndarray) else v > 0.0
 
 
-def _scalar_or_array(x_in, out: np.ndarray):
-    return float(out) if np.ndim(x_in) == 0 else out
+def _check(v, upper: float = math.inf, message: str = "x must be finite and strictly positive"):
+    """v inside (0, upper): a float64 scalar, checked by comparisons alone, or a nonempty array.
 
-
-def _exp_term(p: TgiwParams, x: np.ndarray) -> np.ndarray:
-    """gamma * (alpha*x)**(-beta); may overflow to inf for very small x."""
-    with np.errstate(over="ignore"):
-        return p.gamma * (p.alpha * x) ** (-p.beta)
-
-
-def _bracket(lam: float, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Density factor 1 + lam - 2*lam*u, as (1 - lam)*u + (1 + lam)*w with w = -expm1(-t).
-
-    w = 1 - u without cancellation, and both terms are nonnegative, so the
-    factor keeps its relative precision in both tails for every lam in [-1, 1].
+    A scalar never builds an array: the functions run the same operators and
+    ufuncs on float64 scalars as on arrays.
     """
-    return (1.0 - lam) * u + (1.0 + lam) * -np.expm1(-t)
+    if isinstance(v, (float, int)):
+        if 0.0 < v < upper:
+            return np.float64(v)
+    else:
+        va = np.asarray(v, dtype=float)
+        if va.size and _all_positive(va) and va.max() < upper:
+            return va
+    raise ValueError(message)
+
+
+def _out(value):
+    """A Python float for a scalar result, the array otherwise."""
+    return value if isinstance(value, np.ndarray) and value.ndim else float(value)
+
+
+def _kernel(t):
+    """u = exp(-t) and w = 1 - u = -expm1(-t); w is exact as t -> 0, u as t -> oo.
+
+    F = u ((1 + lam) - lam u), S = w ((1 - lam) u + w) and f = beta t u B / x
+    with B = (1 - lam) u + (1 + lam) w keep their relative precision for every
+    lam in [-1, 1]: no 1 - F or 1 - u is ever formed.
+    """
+    minus_t = -t
+    w = np.expm1(minus_t)
+    w *= -1.0
+    return np.exp(minus_t), w
+
+
+def _terms(p: TgiwParams, x):
+    """t = gamma * (alpha x)**-beta, u and w at a checked x.
+
+    t is one pow, within an ulp or two (exp(log t) would carry 2.5e-14 at
+    x = 1e12).  ``np.power`` gives a scalar the bits of a one-element array;
+    the scalar ``**`` differs by an ulp in one case in twenty.
+    """
+    t = np.power(p.alpha * x, -p.beta)
+    t *= p.gamma
+    return (t, *_kernel(t))
+
+
+def _log_terms(p: TgiwParams, x):
+    """t, B, log F, log S and log f at a checked x, exact in both tails.
+
+    log t = log gamma - beta log(alpha x) stays finite where t underflows,
+    and log w = log t + log(w/t); the smallest subnormal added to w and t
+    makes w/t = 1 where t is 0 and moves no normal t.
+    """
+    t, u, w = _terms(p, x)
+    lam = p.lam
+    b = (1.0 - lam) * u + (1.0 + lam) * w
+    log_ax = np.log(p.alpha * x)
+    log_t = math.log(p.gamma) - p.beta * log_ax
+    log_f = math.log(p.alpha * p.beta) + log_t - log_ax - t + np.log(b)
+    log_F = np.log((1.0 + lam) - lam * u) - t
+    log_S = log_t + np.log((w + 5e-324) / (t + 5e-324) * ((1.0 - lam) * u + w))
+    return t, b, log_F, log_S, log_f
+
+
+def _survival(lam: float, u, w):
+    s = (1.0 - lam) * u
+    s += w
+    s *= w
+    return s
+
+
+def _density(p: TgiwParams, x, t, u, w):
+    f = (1.0 - p.lam) * u
+    f += (1.0 + p.lam) * w
+    f *= u
+    f *= t
+    f /= x
+    f *= p.beta
+    return np.fmax(f, 0.0)  # t * u is inf * 0 where t overflows (x -> 0); f is 0 there
 
 
 def cdf(p: TgiwParams, x):
     """Distribution function F(x) = u*(1 + lam - lam*u), u = exp(-gamma*(alpha*x)**-beta)."""
-    xa = _check_x(x)
-    u = np.exp(-_exp_term(p, xa))
-    return _scalar_or_array(x, u * (1.0 + p.lam - p.lam * u))
+    x = _check(x)
+    with np.errstate(over="ignore"):
+        u = _terms(p, x)[1]
+        F = (1.0 + p.lam) - p.lam * u
+        F *= u
+        return _out(F)
 
 
 def pdf(p: TgiwParams, x):
-    """Density f(x) = alpha*beta*gamma*(alpha*x)**(-beta-1) * u * (1 + lam - 2*lam*u).
-
-    For x small enough that u underflows, the density is returned as exact 0
-    rather than NaN (the factors overflow/underflow in opposite directions).
-    """
-    xa = _check_x(x)
-    t = _exp_term(p, xa)
-    u = np.exp(-t)
+    """Density f(x) = alpha*beta*gamma*(alpha*x)**(-beta-1) * u * (1 + lam - 2*lam*u); 0 where u underflows."""
+    x = _check(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        base = p.alpha * p.beta * p.gamma * (p.alpha * xa) ** (-p.beta - 1.0)
-        out = base * u * _bracket(p.lam, t, u)
-    out = np.where(np.isnan(out), 0.0, out)
-    return _scalar_or_array(x, out)
+        return _out(_density(p, x, *_terms(p, x)))
 
 
 def log_pdf(p: TgiwParams, x):
     """Log-density, stable where pdf underflows; -inf where the density is 0."""
-    xa = _check_x(x)
-    t = _exp_term(p, xa)
-    u = np.exp(-t)
-    bracket = _bracket(p.lam, t, u)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_bracket = np.where(bracket > 0.0, np.log(np.where(bracket > 0.0, bracket, 1.0)), -np.inf)
-        out = (
-            math.log(p.alpha * p.beta * p.gamma)
-            - (p.beta + 1.0) * np.log(p.alpha * xa)
-            - p.gamma * (p.alpha * xa) ** (-p.beta)
-        ) + log_bracket
-    out = np.where(np.isnan(out), -np.inf, out)
-    return _scalar_or_array(x, out)
+    x = _check(x)
+    with np.errstate(all="ignore"):
+        return _out(_log_terms(p, x)[4])
 
 
 def survival(p: TgiwParams, x):
-    """Reliability R(x) = 1 - F(x) = w * (1 - lam*u), with w = 1 - u = -expm1(-t).
-
-    The second factor is written (1 - lam)*u + w, a sum of nonnegative terms,
-    so R keeps full relative precision in the far right tail, where 1 - F
-    would cancel.
-    """
-    xa = _check_x(x)
-    t = _exp_term(p, xa)
-    w = -np.expm1(-t)
-    return _scalar_or_array(x, w * ((1.0 - p.lam) * np.exp(-t) + w))
+    """Reliability R(x) = 1 - F(x) = w * ((1 - lam)*u + w), exact in the far right tail."""
+    x = _check(x)
+    with np.errstate(over="ignore"):
+        _, u, w = _terms(p, x)
+        return _out(_survival(p.lam, u, w))
 
 
 def hazard(p: TgiwParams, x):
-    """Failure rate h(x) = f(x) / R(x).
+    """Failure rate h(x) = f(x) / R(x), both from one pass of the kernel.
 
     Raises OverflowError when the survival probability underflows to zero
     (beyond the smallest float, in the far right tail), where the ratio is no
     longer representable.
     """
-    xa = _check_x(x)
-    s = np.asarray(survival(p, xa))
-    if np.any(s <= 0.0):
-        raise OverflowError("survival underflowed to 0; hazard not representable")
-    out = np.asarray(pdf(p, xa)) / s
-    return _scalar_or_array(x, out)
+    x = _check(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, u, w = _terms(p, x)
+        s = _survival(p.lam, u, w)
+        if not _all_positive(s):
+            raise OverflowError("survival underflowed to 0; hazard not representable")
+        h = _density(p, x, t, u, w)
+        h /= s
+        return _out(h)
 
 
 def cumulative_hazard(p: TgiwParams, x):
     """Cumulative hazard H(x) = -ln R(x).
 
-    Taken as -log1p(-F) where F <= 1/2, so H keeps its relative precision in
-    the left tail where R rounds to 1, and as -ln R elsewhere.
+    -log1p(-F) where F <= 1/2, exact as R -> 1; elsewhere -ln R from ln t,
+    finite where R underflows (921.03 at (1, 2, 1, 0) and x = 1e200).
     """
-    xa = _check_x(x)
-    s = np.asarray(survival(p, xa))
-    if np.any(s <= 0.0):
-        raise OverflowError("survival underflowed to 0; cumulative hazard is infinite")
-    F = np.asarray(cdf(p, xa))
-    return _scalar_or_array(x, np.where(F <= 0.5, -np.log1p(-np.minimum(F, 0.5)), -np.log(s)))
+    x = _check(x)
+    with np.errstate(all="ignore"):
+        _, _, log_F, log_S, _ = _log_terms(p, x)
+        return _out(np.where(log_F <= -math.log(2.0), -np.log1p(-np.exp(log_F)), -log_S))
 
 
-def _check_q(q) -> np.ndarray:
-    qa = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(qa)) or np.any(qa <= 0.0) or np.any(qa >= 1.0):
-        raise ValueError("probability must lie strictly inside (0, 1)")
-    return qa
+def _conjugate_root(b: float, c: float, s):
+    """The root 2s / (b + sqrt(b*b + c*s)) of (c/4) v**2 - b v + s = 0, free of cancellation."""
+    return 2.0 * s / (b + np.sqrt(b * b + c * s))
+
+
+def _x_of_t(p: TgiwParams, t):
+    return np.power(p.gamma / t, 1.0 / p.beta) / p.alpha
 
 
 def quantile(p: TgiwParams, q):
-    """Inverse of the cdf.
+    """Inverse of the cdf, exact in both tails.
 
-    F(x) = q is quadratic in u = exp(-gamma*(alpha*x)**-beta):
-    lam*u**2 - (1+lam)*u + q = 0.  The root in (0, 1) is the smaller one;
-    it is evaluated in the cancellation-free conjugate form
-
-        u = 2q / ((1+lam) + sqrt((1+lam)**2 - 4*lam*q)),
-
-    which degenerates smoothly to u = q at lam = 0.  Then
-    x = (gamma / (-ln u))**(1/beta) / alpha.
+    F = q is lam*u**2 - (1+lam)*u + q = 0 in u; R = s = 1 - q is
+    lam*w**2 + (1-lam)*w - s = 0 in w = 1 - u.  Below the median t = -ln u;
+    above it s is exact and t = -log1p(-w).  Both roots are in conjugate form
+    (u = q, w = s at lam = 0).  Then x = (gamma / t)**(1/beta) / alpha.
     """
-    qa = _check_q(q)
-    one_plus = 1.0 + p.lam
-    disc = one_plus * one_plus - 4.0 * p.lam * qa
-    u = 2.0 * qa / (one_plus + np.sqrt(disc))
-    x = (p.gamma / (-np.log(u))) ** (1.0 / p.beta) / p.alpha
-    return _scalar_or_array(q, x)
+    q = _check(q, 1.0, "probability must lie strictly inside (0, 1)")
+    lam = p.lam
+    with np.errstate(all="ignore"):
+        t = np.where(
+            q <= 0.5,
+            -np.log(_conjugate_root(1.0 + lam, -4.0 * lam, q)),
+            -np.log1p(-_conjugate_root(1.0 - lam, 4.0 * lam, 1.0 - q)),
+        )
+        return _out(_x_of_t(p, t))
 
 
 def median(p: TgiwParams) -> float:
@@ -200,7 +239,9 @@ def sample(p: TgiwParams, n: int, seed: int | None = None, rng: np.random.Genera
     u = gen.random(n)
     # guard against a uniform variate of exactly 0.0 (quantile needs (0,1))
     u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
-    return np.asarray(quantile(p, u))
+    # every draw takes the lower-side root, so a seed's draws never change;
+    # above the median they differ from quantile's by up to about 1e-10
+    return _x_of_t(p, -np.log(_conjugate_root(1.0 + p.lam, -4.0 * p.lam, u)))
 
 
 def raw_moment(p: TgiwParams, r: int) -> float:

@@ -158,10 +158,9 @@ def _reduced_loglik(logx: np.ndarray, log_theta: float, beta: float, lam: float,
 
     theta enters by its logarithm, so l stays defined wherever theta itself
     would overflow.  One vector pass over log x with t = exp(log theta - beta * log x),
-    u = exp(-t), w = -expm1(-t) = 1 - u (exact for small t) and the density
-    factor B = 1 + lam - 2*lam*u, written (1 - lam)*u + (1 + lam)*w: a sum of
-    nonnegative terms, so it keeps full precision in both tails at both ends
-    of lam.  Then
+    u and w = 1 - u from the distribution kernel, and the density factor
+    B = 1 + lam - 2*lam*u written (1 - lam)*u + (1 + lam)*w, exact in both
+    tails at both ends of lam.  Then
 
         l = n log(beta*theta) - (beta + 1) sum(log x) + sum(g),  g = -t + log B,
 
@@ -174,8 +173,7 @@ def _reduced_loglik(logx: np.ndarray, log_theta: float, beta: float, lam: float,
     log_theta, beta, lam = np.float64(log_theta), np.float64(beta), np.float64(lam)
     with np.errstate(all="ignore"):
         t = np.exp(log_theta - beta * logx)
-        u = np.exp(-t)
-        w = -np.expm1(-t)
+        u, w = dist._kernel(t)
         B = (1.0 - lam) * u + (1.0 + lam) * w
         sum_logx = logx.sum()
         ll = float(n * (math.log(beta) + log_theta) - (beta + 1.0) * sum_logx - t.sum() + np.log(B).sum())

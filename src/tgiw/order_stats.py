@@ -1,13 +1,15 @@
 """Order-statistic densities for i.i.d. samples from the family.
 
-Every density here is composed from the distribution's F and f:
+Every density here is composed from the distribution's F, S = 1 - F and f:
 
-    f_(i:n)(x)       = F(x)**(i-1) * (1-F(x))**(n-i) * f(x) / B(i, n-i+1)
+    f_(i:n)(x)       = F(x)**(i-1) * S(x)**(n-i) * f(x) / B(i, n-i+1)
     f_(i,j:n)(x, y)  = C * F(x)**(i-1) * (F(y)-F(x))**(j-i-1)
-                         * (1-F(y))**(n-j) * f(x) * f(y),   x < y,
+                         * S(y)**(n-j) * f(x) * f(y),   x < y,
 
 with C = n! / ((i-1)! (j-i-1)! (n-j)!).  Minimum, maximum and (odd-n)
-median are the i = 1, i = n and i = m+1 specializations.
+median are the i = 1, i = n and i = m+1 specializations.  Each density is
+one sum of logarithms from one kernel pass per point, exponentiated once, so
+it keeps its relative precision in both tails.
 """
 
 from __future__ import annotations
@@ -16,15 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln
 
 from . import distribution as dist
 from .params import TgiwParams
 
 __all__ = ["OrderSpec", "os_density", "joint_os_density", "min_max_joint_density"]
-
-# exponent size beyond which powers of F and 1-F are taken in log space
-_LOG_SPACE_EXPONENT = 30
 
 
 @dataclass(frozen=True)
@@ -63,58 +61,50 @@ class OrderSpec:
         return cls(n=n, i=i, j=j)
 
 
-def _pow_terms(base: np.ndarray, expo: int, log_space: bool) -> np.ndarray:
-    if not log_space:
-        return base**expo
-    with np.errstate(divide="ignore"):
-        return np.where(base > 0.0, np.exp(expo * np.log(np.maximum(base, 1e-320))), 0.0 if expo else 1.0)
+def _exp_sum(log_c, *terms):
+    """exp(log_c + sum of k * v over (k, v) in terms); a zero power adds nothing, even where v = -inf.
+
+    Where t overflows at both points (x -> 0) the sum meets inf - inf; the density there is 0.
+    """
+    for k, v in terms:
+        if k:
+            log_c = log_c + k * v
+    return np.fmax(np.exp(log_c), 0.0)
 
 
 def os_density(p: TgiwParams, spec: OrderSpec, x):
     """Density of the i-th order statistic of a sample of size spec.n at x."""
     if spec.j is not None:
         raise ValueError("spec with a j rank describes a joint density; use joint_os_density")
-    xa = dist._check_x(x)
-    F = np.asarray(dist.cdf(p, xa))
-    f = np.asarray(dist.pdf(p, xa))
+    x = dist._check(x)
     i, n = spec.i, spec.n
-    a, b = i - 1, n - i
-    coef = math.exp(-betaln(i, n - i + 1))
-    log_space = max(a, b) > _LOG_SPACE_EXPONENT
-    out = coef * _pow_terms(F, a, log_space) * _pow_terms(1.0 - F, b, log_space) * f
-    return dist._scalar_or_array(x, out)
+    log_c = math.lgamma(n + 1) - math.lgamma(i) - math.lgamma(n - i + 1)
+    with np.errstate(all="ignore"):
+        _, _, log_F, log_S, log_f = dist._log_terms(p, x)
+        return dist._out(_exp_sum(log_c + log_f, (i - 1, log_F), (n - i, log_S)))
 
 
-def joint_os_density(p: TgiwParams, spec: OrderSpec, x_i: float, x_j: float) -> float:
-    """Joint density of the (i, j) order-statistic pair at (x_i, x_j), x_i < x_j."""
+def joint_os_density(p: TgiwParams, spec: OrderSpec, x_i, x_j):
+    """Joint density of the (i, j) order-statistic pair at (x_i, x_j), x_i < x_j.
+
+    The gap F(x_j) - F(x_i) is taken as u_j * (1 - exp(t_j - t_i)) * (B_i + B_j) / 2,
+    a product of nonnegative factors that keeps its precision in both tails.
+    """
     if spec.j is None:
         raise ValueError("spec must carry a j rank for a joint density")
-    x_i, x_j = float(x_i), float(x_j)
-    if x_i <= 0.0 or x_j <= 0.0 or not (math.isfinite(x_i) and math.isfinite(x_j)):
-        raise ValueError("order-statistic arguments must be finite and positive")
-    if x_i >= x_j:
+    x_i, x_j = dist._check(x_i), dist._check(x_j)
+    if not dist._all_positive(x_j - x_i):
         raise ValueError("joint density requires x_i < x_j")
     i, j, n = spec.i, spec.j, spec.n
-    Fi, Fj = dist.cdf(p, x_i), dist.cdf(p, x_j)
-    fi, fj = dist.pdf(p, x_i), dist.pdf(p, x_j)
-    coef = math.exp(
-        math.lgamma(n + 1) - math.lgamma(i) - math.lgamma(j - i) - math.lgamma(n - j + 1)
-    )
-    a, b, c = i - 1, j - i - 1, n - j
-    log_space = max(a, b, c) > _LOG_SPACE_EXPONENT
-    gap = max(Fj - Fi, 0.0)
-    val = (
-        coef
-        * _pow_terms(np.asarray(Fi), a, log_space)
-        * _pow_terms(np.asarray(gap), b, log_space)
-        * _pow_terms(np.asarray(1.0 - Fj), c, log_space)
-        * fi
-        * fj
-    )
-    return float(val)
+    log_c = math.lgamma(n + 1) - math.lgamma(i) - math.lgamma(j - i) - math.lgamma(n - j + 1)
+    with np.errstate(all="ignore"):
+        t_i, b_i, log_F, _, log_f_i = dist._log_terms(p, x_i)
+        t_j, b_j, _, log_S, log_f_j = dist._log_terms(p, x_j)
+        log_gap = np.log(-np.expm1(t_j - t_i)) - t_j + np.log(0.5 * (b_i + b_j))
+        return dist._out(_exp_sum(log_c + log_f_i + log_f_j, (i - 1, log_F), (j - i - 1, log_gap), (n - j, log_S)))
 
 
-def min_max_joint_density(p: TgiwParams, n: int, x_min: float, x_max: float) -> float:
+def min_max_joint_density(p: TgiwParams, n: int, x_min, x_max):
     """Joint density of (minimum, maximum) of a sample of size n >= 2.
 
     Equals n*(n-1) * (F(x_max) - F(x_min))**(n-2) * f(x_min) * f(x_max),

@@ -70,7 +70,7 @@ class TestOsDensity:
         (5, 3, TgiwParams(1, 2, 1, 0.5)),
         (3, 1, TgiwParams(1, 1, 1, -0.5)),
         (4, 4, TgiwParams(1, 0.8, 2, 0.9)),
-        (80, 40, TgiwParams(1, 1.5, 1, 0.3)),  # exercises the log-space path
+        (80, 40, TgiwParams(1, 1.5, 1, 0.3)),  # powers of 39 and 40
     ])
     def test_integrates_to_one(self, n, i, p):
         spec = OrderSpec(n, i)
@@ -93,6 +93,50 @@ class TestOsDensity:
         spec = OrderSpec.median(5)
         m = quantile(p, 0.5)
         assert os_density(p, spec, m) > os_density(p, spec, 4 * m)
+
+
+def _os_oracle(p, n, ranks, xs):
+    """Order-statistic density at 50 digits: one rank and one point, or two of each."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, b, g, lam = (mp.mpf(v) for v in p.as_tuple())
+        F, S, f = [], [], []
+        for x in map(mp.mpf, xs):
+            t = g * (a * x) ** -b
+            u = mp.exp(-t)
+            F.append(u * (1 + lam - lam * u))
+            S.append(-mp.expm1(-t) * (1 - lam * u))
+            f.append(b * t / x * u * (1 + lam - 2 * lam * u))
+        if len(ranks) == 1:
+            (i,) = ranks
+            c = mp.factorial(n) / (mp.factorial(i - 1) * mp.factorial(n - i))
+            return float(c * F[0] ** (i - 1) * S[0] ** (n - i) * f[0])
+        i, j = ranks
+        c = mp.factorial(n) / (mp.factorial(i - 1) * mp.factorial(j - i - 1) * mp.factorial(n - j))
+        return float(c * F[0] ** (i - 1) * (F[1] - F[0]) ** (j - i - 1) * S[1] ** (n - j) * f[0] * f[1])
+
+
+class TestTailExactness:
+    """Minimum, maximum and a joint density (n = 5) against 50-digit mpmath, both tails."""
+
+    XS = np.geomspace(1e-2, 1e7, 28)
+    PARAMS = [TgiwParams(1.0, 2.0, 1.0, lam) for lam in (-1.0, -0.5, 0.0, 0.7, 1.0)] + [TgiwParams(1.3, 0.5, 3.0, 0.4)]
+
+    @pytest.mark.parametrize("p", PARAMS, ids=str)
+    @pytest.mark.parametrize("i", [1, 5])
+    def test_min_and_max(self, p, i):
+        got = np.asarray(os_density(p, OrderSpec(5, i), self.XS))
+        want = np.array([_os_oracle(p, 5, (i,), [x]) for x in self.XS])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("p", PARAMS, ids=str)
+    @pytest.mark.parametrize("ranks", [(1, 5), (2, 4)])
+    def test_joint(self, p, ranks):
+        xs, ys = self.XS, self.XS * 1.5
+        got = np.asarray(joint_os_density(p, OrderSpec.joint(5, *ranks), xs, ys))
+        want = np.array([_os_oracle(p, 5, ranks, [x, y]) for x, y in zip(xs, ys)])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
 
 class TestJointOsDensity:

@@ -56,6 +56,31 @@ class TestQuantile:
             quantile(TgiwParams(1, 1, 1, 0), q)
 
 
+def _quantile_oracle(p, q):
+    """x with F(x) = q at 50 digits; the conjugate-form root u stays exact at any q."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, b, g, lam = (mp.mpf(v) for v in p.as_tuple())
+        q = mp.mpf(q)
+        u = 2 * q / ((1 + lam) + mp.sqrt((1 + lam) ** 2 - 4 * lam * q))
+        return float((g / -mp.log(u)) ** (1 / b) / a)
+
+
+class TestQuantileTails:
+    """Quantile against 50-digit mpmath at the same float q, from 1e-300 to 1 - 1e-15."""
+
+    QS = np.concatenate([10.0 ** -np.arange(300.0, 0.0, -20.0), [0.3, 0.5, 0.7], 1.0 - 10.0 ** -np.arange(1.0, 16.0)])
+
+    @pytest.mark.parametrize("lam", [-1.0, -0.5, 0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_matches_mpmath(self, lam, beta):
+        p = TgiwParams(1.3, beta, 0.8, lam)
+        got = np.asarray(quantile(p, self.QS))
+        want = np.array([_quantile_oracle(p, q) for q in self.QS])
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
 class TestMedian:
     def test_base_model(self):
         assert median(TgiwParams(1, 1, 1, 0)) == pytest.approx(1 / math.log(2), rel=1e-12)
