@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -66,27 +67,15 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _manifest(command: str, source: str, cfg: FitConfig | None, seed: int | None) -> dict:
-    out = {
+def _manifest(command: str, source: str, cfg: FitConfig) -> dict:
+    return {
         "command": command,
         "source": source,
-        "seed": seed,
+        "seed": cfg.seed,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "config": asdict(cfg),
     }
-    if cfg is not None:
-        out["config"] = {
-            "model": cfg.model.value,
-            "mode": cfg.mode,
-            "method": cfg.method,
-            "f_tol": cfg.f_tol,
-            "x_tol": cfg.x_tol,
-            "max_iter": cfg.max_iter,
-            "multistart": cfg.multistart,
-            "seed": cfg.seed,
-            "delta": cfg.delta,
-        }
-    return out
 
 
 def _load_data(spec: str, column: str | None) -> Dataset:
@@ -101,46 +90,25 @@ def _load_data(spec: str, column: str | None) -> Dataset:
         raise CliError(str(exc)) from None
 
 
-def _fit_result_dict(fr: FitResult) -> dict:
-    out = {
-        "model": fr.model.value,
-        "mode": fr.mode,
-        "method": fr.method,
-        "converged": fr.converged,
-        "iterations": fr.iterations,
-        "neg_log_lik": fr.neg_log_lik,
-        "objective": fr.objective,
-        "gradient_norm": fr.gradient_norm,
-        "boundary_lambda": fr.boundary_lambda,
-        "n_obs": fr.n_obs,
-        "free_names": list(fr.free_names),
-        "estimates": dict(fr.estimates),
-        "params": {
-            "alpha": fr.params.alpha,
-            "beta": fr.params.beta,
-            "gamma": fr.params.gamma,
-            "lam": fr.params.lam,
-        },
-        "reduced": {
-            "theta": fr.reduced.theta,
-            "beta": fr.reduced.beta,
-            "lam": fr.reduced.lam,
-        },
-        "std_errors": dict(fr.std_errors) if fr.std_errors else None,
-        "conf_intervals": (
-            {k: list(v) for k, v in fr.conf_intervals.items()} if fr.conf_intervals else None
-        ),
-        "conf_level": fr.conf_level,
-        "message": fr.message,
-    }
-    return out
+def _json_default(obj):
+    """Enums by value; numpy arrays and scalars as lists and Python scalars."""
+    return obj.value if isinstance(obj, Enum) else obj.tolist()
 
 
-def _write_or_print(payload: str, out: str | None) -> None:
+def _write_json(report: dict, out: str | None) -> None:
+    payload = json.dumps(report, indent=2, default=_json_default)
     if out:
         Path(out).write_text(payload, encoding="utf-8")
     else:
         print(payload)
+
+
+def _write_lines(lines: list[str], out: str | None) -> None:
+    payload = "\n".join(lines) + "\n"
+    if out:
+        Path(out).write_text(payload, encoding="utf-8")
+    else:
+        sys.stdout.write(payload)
 
 
 def _print_fit_summary(fr: FitResult) -> None:
@@ -182,48 +150,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     )
     fitter = {"mle": fit_mle, "lse": fit_lse, "wlse": fit_wlse}[cfg.method]
     fr = fitter(d, cfg)
-    report = {
-        "manifest": _manifest("fit", args.data, cfg, cfg.seed),
-        "fit": _fit_result_dict(fr),
-    }
     if args.json or args.out:
-        _write_or_print(json.dumps(report, indent=2), args.out)
+        manifest = _manifest("fit", args.data, cfg)
+        _write_json({"manifest": manifest, "fit": asdict(fr)}, args.out)
     if not args.json:
         _print_fit_summary(fr)
     return EXIT_OK if fr.converged else EXIT_NO_CONVERGENCE
-
-
-def _comparison_dict(report: ComparisonReport) -> dict:
-    rows = []
-    for row in report.rows:
-        rows.append(
-            {
-                "model": row.model.value,
-                "k": row.k,
-                "neg2_log_lik": row.neg2_log_lik,
-                "aic": row.aic,
-                "aicc": row.aicc,
-                "ks": row.ks,
-                "failed": row.failed,
-                "error": row.error,
-                "fit": _fit_result_dict(row.fit) if row.fit else None,
-            }
-        )
-    lr = [
-        {
-            "restricted": c.restricted.value,
-            "full": c.full.value,
-            **asdict(c.result),
-        }
-        for c in report.lr_tests
-    ]
-    return {
-        "n_obs": report.n_obs,
-        "paper_k": report.paper_k,
-        "level": report.level,
-        "rows": rows,
-        "lr_tests": lr,
-    }
 
 
 def _print_comparison_table(report: ComparisonReport) -> None:
@@ -256,12 +188,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     d = _load_data(args.data, args.column)
     cfg = FitConfig(multistart=args.multistart, seed=args.seed)
     report = compare(d, models, cfg, paper_k=args.paper_k, level=args.level)
-    payload = {
-        "manifest": _manifest("compare", args.data, cfg, cfg.seed),
-        "comparison": _comparison_dict(report),
-    }
     if args.json or args.out:
-        _write_or_print(json.dumps(payload, indent=2), args.out)
+        manifest = _manifest("compare", args.data, cfg)
+        comparison = asdict(report)  # each likelihood-ratio test flattened into one record
+        comparison["lr_tests"] = [
+            {"restricted": c.restricted, "full": c.full, **asdict(c.result)} for c in report.lr_tests
+        ]
+        _write_json({"manifest": manifest, "comparison": comparison}, args.out)
     if not args.json:
         _print_comparison_table(report)
     if any(row.failed or (row.fit and not row.fit.converged) for row in report.rows):
@@ -289,11 +222,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         f"# version: {__version__}",
     ]
     lines.extend(repr(float(v)) for v in draws)
-    payload = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    _write_lines(lines, args.out)
     return EXIT_OK
 
 
@@ -303,58 +232,23 @@ def cmd_tabulate(args: argparse.Namespace) -> int:
         raise CliError("grid needs at least 2 points")
     if not (0 < args.x_min < args.x_max):
         raise CliError("grid requires 0 < x-min < x-max")
-    grid = np.linspace(args.x_min, args.x_max, args.points)
-    pdf_v = np.asarray(dist.pdf(p, grid))
-    cdf_v = np.asarray(dist.cdf(p, grid))
-    sf_v = np.asarray(dist.survival(p, grid))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hz_v = np.where(sf_v > 0.0, pdf_v / sf_v, np.inf)
-
-    overlay = None
+    x = np.linspace(args.x_min, args.x_max, args.points)
+    header = "x,pdf,cdf,survival,hazard"
+    ecdf = [""] * args.points
     if args.data:
-        overlay = _load_data(args.data, args.column)
-
-    def row(*values: float) -> str:
-        return ",".join(repr(float(v)) for v in values)
-
-    lines = []
-    if overlay is None:
-        lines.append("x,pdf,cdf,survival,hazard")
-        for i in range(grid.size):
-            lines.append(row(grid[i], pdf_v[i], cdf_v[i], sf_v[i], hz_v[i]))
-    else:
-        lines.append("x,pdf,cdf,survival,hazard,ecdf_lower,ecdf_upper")
-        for i in range(grid.size):
-            lines.append(row(grid[i], pdf_v[i], cdf_v[i], sf_v[i], hz_v[i]) + ",,")
-        n = overlay.n
-        xo = overlay.values
-        po = np.asarray(dist.pdf(p, xo))
-        co = np.asarray(dist.cdf(p, xo))
-        so = np.asarray(dist.survival(p, xo))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ho = np.where(so > 0.0, po / so, np.inf)
-        for j in range(n):
-            lines.append(row(xo[j], po[j], co[j], so[j], ho[j], j / n, (j + 1) / n))
-    payload = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+        d = _load_data(args.data, args.column)
+        x = np.concatenate([x, d.values])
+        header += ",ecdf_lower,ecdf_upper"
+        ecdf = [",,"] * args.points + [f",{j / d.n!r},{(j + 1) / d.n!r}" for j in range(d.n)]
+    columns = [x] + [fn(p, x) for fn in (dist.pdf, dist.cdf, dist.survival, dist.hazard)]
+    lines = [header]
+    for row, tail in zip(zip(*columns), ecdf):
+        lines.append(",".join(repr(float(v)) for v in row) + tail)
+    _write_lines(lines, args.out)
     return EXIT_OK
 
 
-def _check_row(name: str, computed: float) -> dict:
-    expected, tol = _REFERENCE[name]
-    return {
-        "name": name,
-        "computed": computed,
-        "expected": expected,
-        "tolerance": tol,
-        "passed": abs(computed - expected) <= tol,
-    }
-
-
-def run_reproduction(multistart_probe: bool = True) -> dict:
+def run_reproduction() -> dict:
     """Rerun the bundled case study; returns the verdict structure.
 
     Fits the base (giw) and transmuted (tgiw) models to the embedded
@@ -363,45 +257,44 @@ def run_reproduction(multistart_probe: bool = True) -> dict:
     the likelihood-ratio statistic against the published values.
     """
     d = embedded_dataset()
-    rows: list[dict] = []
-    notes: list[str] = []
-
+    total = float(np.sum(d.values))
     integrity = (
         d.n == 50
         and d.values[0] == 0.013
         and d.values[-1] == 48.105
-        and abs(float(np.sum(d.values)) - _EMBEDDED_SUM) < 1e-9
+        and abs(total - _EMBEDDED_SUM) < 1e-9
     )
-    rows.append(
+    rows = [
         {
             "name": "embedded_data_integrity",
-            "computed": float(np.sum(d.values)),
+            "computed": total,
             "expected": _EMBEDDED_SUM,
             "tolerance": 1e-9,
             "passed": bool(integrity),
         }
-    )
+    ]
 
     giw = fit_mle(d, FitConfig(model=SubModel.GIW))
     tgiw = fit_mle(d, FitConfig(model=SubModel.TGIW))
-
-    rows.append(_check_row("giw_neg_log_lik", giw.neg_log_lik))
-    rows.append(_check_row("tgiw_neg_log_lik", tgiw.neg_log_lik))
-
-    giw_ic = information_criteria(2.0 * giw.neg_log_lik, k=3, n=d.n)
-    tgiw_ic = information_criteria(2.0 * tgiw.neg_log_lik, k=4, n=d.n)
-    rows.append(_check_row("giw_neg2_log_lik", 2.0 * giw.neg_log_lik))
-    rows.append(_check_row("tgiw_neg2_log_lik", 2.0 * tgiw.neg_log_lik))
-    rows.append(_check_row("giw_aic", giw_ic.aic))
-    rows.append(_check_row("tgiw_aic", tgiw_ic.aic))
-    rows.append(_check_row("giw_aicc", giw_ic.aicc))
-    rows.append(_check_row("tgiw_aicc", tgiw_ic.aicc))
-
-    rows.append(_check_row("giw_ks", ks_statistic(giw.params, d)))
-    rows.append(_check_row("tgiw_ks", ks_statistic(tgiw.params, d)))
-
     lr = lr_test(-tgiw.neg_log_lik, -giw.neg_log_lik, df=1, level=0.05)
-    rows.append(_check_row("lr_omega", lr.omega))
+    computed = {"lr_omega": lr.omega}
+    for name, fr, k in (("giw", giw, 3), ("tgiw", tgiw, 4)):
+        ic = information_criteria(2.0 * fr.neg_log_lik, k=k, n=d.n)
+        computed.update({
+            f"{name}_neg_log_lik": fr.neg_log_lik,
+            f"{name}_neg2_log_lik": 2.0 * fr.neg_log_lik,
+            f"{name}_aic": ic.aic,
+            f"{name}_aicc": ic.aicc,
+            f"{name}_ks": ks_statistic(fr.params, d),
+        })
+    for name, (expected, tol) in _REFERENCE.items():
+        rows.append({
+            "name": name,
+            "computed": computed[name],
+            "expected": expected,
+            "tolerance": tol,
+            "passed": abs(computed[name] - expected) <= tol,
+        })
     rows.append(
         {
             "name": "lr_reject_at_3.841",
@@ -416,22 +309,20 @@ def run_reproduction(multistart_probe: bool = True) -> dict:
     # they are compared through the identifiable coordinates only
     pub = _PUBLISHED_TGIW
     pub_theta = pub["gamma"] * pub["alpha"] ** (-pub["beta"])
-    notes.append(
+    notes = [
         "published tgiw point in identifiable coordinates: "
         f"theta={pub_theta:.6g} beta={pub['beta']:.6g} lam={pub['lam']:.6g}; "
         f"this fit: theta={tgiw.reduced.theta:.6g} beta={tgiw.reduced.beta:.6g} "
         f"lam={tgiw.reduced.lam:.6g}"
-    )
-
-    if multistart_probe:
-        probe = fit_mle(d, FitConfig(model=SubModel.TGIW, multistart=12, seed=1))
-        if probe.neg_log_lik < tgiw.neg_log_lik - 0.5:
-            notes.append(
-                "multistart exploration finds a higher-likelihood non-regular solution "
-                f"pressing the lam boundary: -l = {probe.neg_log_lik:.6g} at "
-                f"lam = {probe.params.lam:.6g} (boundary flag: {probe.boundary_lambda}); "
-                "the reproduced table corresponds to the interior stationary point"
-            )
+    ]
+    probe = fit_mle(d, FitConfig(model=SubModel.TGIW, multistart=12, seed=1))
+    if probe.neg_log_lik < tgiw.neg_log_lik - 0.5:
+        notes.append(
+            "multistart exploration finds a higher-likelihood non-regular solution "
+            f"pressing the lam boundary: -l = {probe.neg_log_lik:.6g} at "
+            f"lam = {probe.params.lam:.6g} (boundary flag: {probe.boundary_lambda}); "
+            "the reproduced table corresponds to the interior stationary point"
+        )
 
     return {
         "passed": all(r["passed"] for r in rows),
@@ -442,12 +333,9 @@ def run_reproduction(multistart_probe: bool = True) -> dict:
 
 def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     verdict = run_reproduction()
-    payload = {
-        "manifest": _manifest("reproduce-paper", EMBEDDED_TAG, FitConfig(), 0),
-        **verdict,
-    }
     if args.json or args.out:
-        _write_or_print(json.dumps(payload, indent=2), args.out)
+        manifest = _manifest("reproduce-paper", EMBEDDED_TAG, FitConfig())
+        _write_json({"manifest": manifest, **verdict}, args.out)
     if not args.json:
         name_w = max(len(r["name"]) for r in verdict["rows"])
         print(f"{'check':<{name_w}}  {'computed':>12}  {'expected':>12}  {'tol':>8}  result")
@@ -547,10 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

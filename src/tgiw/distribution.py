@@ -83,8 +83,8 @@ def _kernel(t):
     return np.exp(minus_t), w
 
 
-def _terms(p: TgiwParams, x):
-    """t = gamma * (alpha x)**-beta, u and w at a checked x.
+def _t(p: TgiwParams, x):
+    """t = gamma * (alpha x)**-beta at a checked x.
 
     t is one pow, within an ulp or two (exp(log t) would carry 2.5e-14 at
     x = 1e12).  ``np.power`` gives a scalar the bits of a one-element array;
@@ -92,6 +92,12 @@ def _terms(p: TgiwParams, x):
     """
     t = np.power(p.alpha * x, -p.beta)
     t *= p.gamma
+    return t
+
+
+def _terms(p: TgiwParams, x):
+    """t, u and w at a checked x."""
+    t = _t(p, x)
     return (t, *_kernel(t))
 
 
@@ -107,34 +113,22 @@ def _log_terms(p: TgiwParams, x):
     b = (1.0 - lam) * u + (1.0 + lam) * w
     log_ax = np.log(p.alpha * x)
     log_t = math.log(p.gamma) - p.beta * log_ax
-    log_f = math.log(p.alpha * p.beta) + log_t - log_ax - t + np.log(b)
+    if lam == 1.0:  # B = 2w and (1 - lam) u + w = w underflow with w: their logs come from log w
+        log_w = log_t + np.log((w + 5e-324) / (t + 5e-324))
+        log_b, log_S = math.log(2.0) + log_w, 2.0 * log_w
+    else:
+        log_b = np.log(b)
+        log_S = log_t + np.log((w + 5e-324) / (t + 5e-324) * ((1.0 - lam) * u + w))
+    log_f = math.log(p.alpha * p.beta) + log_t - log_ax - t + log_b
     log_F = np.log((1.0 + lam) - lam * u) - t
-    log_S = log_t + np.log((w + 5e-324) / (t + 5e-324) * ((1.0 - lam) * u + w))
     return t, b, log_F, log_S, log_f
-
-
-def _survival(lam: float, u, w):
-    s = (1.0 - lam) * u
-    s += w
-    s *= w
-    return s
-
-
-def _density(p: TgiwParams, x, t, u, w):
-    f = (1.0 - p.lam) * u
-    f += (1.0 + p.lam) * w
-    f *= u
-    f *= t
-    f /= x
-    f *= p.beta
-    return np.fmax(f, 0.0)  # t * u is inf * 0 where t overflows (x -> 0); f is 0 there
 
 
 def cdf(p: TgiwParams, x):
     """Distribution function F(x) = u*(1 + lam - lam*u), u = exp(-gamma*(alpha*x)**-beta)."""
     x = _check(x)
     with np.errstate(over="ignore"):
-        u = _terms(p, x)[1]
+        u = np.exp(-_t(p, x))
         F = (1.0 + p.lam) - p.lam * u
         F *= u
         return _out(F)
@@ -144,7 +138,14 @@ def pdf(p: TgiwParams, x):
     """Density f(x) = alpha*beta*gamma*(alpha*x)**(-beta-1) * u * (1 + lam - 2*lam*u); 0 where u underflows."""
     x = _check(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _out(_density(p, x, *_terms(p, x)))
+        t, u, w = _terms(p, x)
+        f = (1.0 - p.lam) * u
+        f += (1.0 + p.lam) * w
+        f *= u
+        f *= t
+        f /= x
+        f *= p.beta
+        return _out(np.fmax(f, 0.0))  # t * u is inf * 0 where t overflows (x -> 0); f is 0 there
 
 
 def log_pdf(p: TgiwParams, x):
@@ -159,25 +160,37 @@ def survival(p: TgiwParams, x):
     x = _check(x)
     with np.errstate(over="ignore"):
         _, u, w = _terms(p, x)
-        return _out(_survival(p.lam, u, w))
+        u *= 1.0 - p.lam
+        u += w
+        u *= w
+        return _out(u)
 
 
 def hazard(p: TgiwParams, x):
-    """Failure rate h(x) = f(x) / R(x), both from one pass of the kernel.
+    """Failure rate h(x) = f(x) / R(x) = beta (t/w) u B / (x ((1 - lam) u + w)), from one kernel pass.
 
-    Raises OverflowError when the survival probability underflows to zero
-    (beyond the smallest float, in the far right tail), where the ratio is no
-    longer representable.
+    B / ((1 - lam) u + w) is the factor 1 + lam w / ((1 - lam) u + w), formed
+    without cancellation at lam < 0.  The smallest subnormal added to w and t
+    keeps t/w -> 1 and the factor -> 1 + lam where they underflow, so h stays
+    finite where R underflows (2.0e-200 at (1, 2, 1, 0) and x = 1e200); h is
+    0 where t overflows (x -> 0).
     """
     x = _check(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        t, u, w = _terms(p, x)
-        s = _survival(p.lam, u, w)
-        if not _all_positive(s):
-            raise OverflowError("survival underflowed to 0; hazard not representable")
-        h = _density(p, x, t, u, w)
-        h /= s
-        return _out(h)
+        h, u, w = _terms(p, x)
+        w += 5e-324
+        h += 5e-324
+        h /= w
+        h *= u
+        u *= 1.0 - p.lam
+        c = u + w
+        w *= 1.0 + p.lam
+        w += u
+        w /= c
+        h *= w
+        h *= p.beta
+        h /= x
+        return _out(np.fmax(h, 0.0))
 
 
 def cumulative_hazard(p: TgiwParams, x):

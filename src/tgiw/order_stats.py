@@ -92,10 +92,13 @@ def joint_os_density(p: TgiwParams, spec: OrderSpec, x_i, x_j):
     """
     if spec.j is None:
         raise ValueError("spec must carry a j rank for a joint density")
+    return _joint(p, spec.n, spec.i, spec.j, x_i, x_j)
+
+
+def _joint(p: TgiwParams, n: int, i: int, j: int, x_i, x_j):
     x_i, x_j = dist._check(x_i), dist._check(x_j)
     if not dist._all_positive(x_j - x_i):
         raise ValueError("joint density requires x_i < x_j")
-    i, j, n = spec.i, spec.j, spec.n
     log_c = math.lgamma(n + 1) - math.lgamma(i) - math.lgamma(j - i) - math.lgamma(n - j + 1)
     with np.errstate(all="ignore"):
         t_i, b_i, log_F, _, log_f_i = dist._log_terms(p, x_i)
@@ -113,4 +116,4 @@ def min_max_joint_density(p: TgiwParams, n: int, x_min, x_max):
     n = int(n)
     if n < 2:
         raise ValueError("min/max joint density requires n >= 2")
-    return joint_os_density(p, OrderSpec.joint(n, 1, n), x_min, x_max)
+    return _joint(p, n, 1, n, x_min, x_max)

@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from tgiw import embedded_dataset, ks_statistic
+from tgiw import FitConfig, embedded_dataset, ks_statistic
 from tgiw.cli import main
 
 
@@ -267,3 +268,68 @@ class TestReproduceCommand:
         names = {r["name"] for r in verdict["rows"]}
         assert {"giw_neg_log_lik", "tgiw_neg_log_lik", "giw_ks", "tgiw_ks", "lr_omega"} <= names
         assert all(r["passed"] for r in verdict["rows"])
+
+
+class TestReportSchema:
+    """The JSON reports keep their keys; the fit report gains ``information``."""
+
+    MANIFEST = {"command", "source", "seed", "version", "timestamp", "config"}
+    FIT = {
+        "model", "mode", "method", "converged", "iterations", "neg_log_lik", "objective",
+        "gradient_norm", "boundary_lambda", "n_obs", "free_names", "estimates", "params",
+        "reduced", "std_errors", "conf_intervals", "conf_level", "message", "information",
+    }
+    INFORMATION = {"matrix", "names", "condition_number", "ill_conditioned", "singular"}
+
+    def report(self, capsys, *argv):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report["manifest"]) == self.MANIFEST
+        assert set(report["manifest"]["config"]) == {f.name for f in fields(FitConfig)}
+        return report
+
+    def check_fit(self, fit, names):
+        assert set(fit) == self.FIT
+        assert set(fit["params"]) == {"alpha", "beta", "gamma", "lam"}
+        assert set(fit["reduced"]) == {"theta", "beta", "lam"}
+        assert list(fit["estimates"]) == fit["free_names"] == names
+        for field in ("std_errors", "conf_intervals"):
+            assert fit[field] is None or set(fit[field]) <= set(names)
+        info = fit["information"]
+        if info is not None:
+            assert set(info) == self.INFORMATION
+            assert np.shape(info["matrix"]) == (len(info["names"]),) * 2
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            ((), ["theta", "beta", "lam"]),
+            (("--method", "lse"), ["theta", "beta", "lam"]),
+            (("--mode", "full"), ["alpha", "beta", "gamma", "lam"]),
+        ],
+    )
+    def test_fit(self, capsys, argv, names):
+        report = self.report(capsys, "fit", "--data", "paper", *argv)
+        assert set(report) == {"manifest", "fit"}
+        self.check_fit(report["fit"], names)
+        if "--method" not in argv:
+            assert report["fit"]["information"]["names"] == names
+
+    def test_compare(self, capsys):
+        report = self.report(capsys, "compare", "--data", "paper", "--models", "giw,tgiw", "--paper-k")
+        assert set(report) == {"manifest", "comparison"}
+        comp = report["comparison"]
+        assert set(comp) == {"n_obs", "paper_k", "level", "rows", "lr_tests"}
+        for row, names in zip(comp["rows"], (["theta", "beta"], ["theta", "beta", "lam"])):
+            assert set(row) == {"model", "k", "neg2_log_lik", "aic", "aicc", "ks", "failed", "error", "fit"}
+            self.check_fit(row["fit"], names)
+        (lr,) = comp["lr_tests"]
+        assert set(lr) == {"restricted", "full", "omega", "df", "critical", "reject", "level"}
+        assert (lr["restricted"], lr["full"], lr["df"]) == ("giw", "tgiw", 1)
+
+    def test_reproduce_paper(self, capsys):
+        report = self.report(capsys, "reproduce-paper")
+        assert set(report) == {"manifest", "passed", "rows", "notes"}
+        for row in report["rows"]:
+            assert set(row) == {"name", "computed", "expected", "tolerance", "passed"}

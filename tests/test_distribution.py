@@ -117,10 +117,14 @@ class TestSurvivalHazard:
         # true survival 1e-400 is below the smallest float; at (1, 1, 1, 0)
         # and x = 1e20 it is 1e-20, which survival now represents exactly
         p = TgiwParams(1, 2, 1, 0)
-        with pytest.raises(OverflowError):
-            hazard(p, 1e200)
+        # h = beta (t/w) u B / (x ((1 - lam) u + w)) needs no R: 2e-200 (mpmath, 50 digits)
+        assert hazard(p, 1e200) == pytest.approx(2.0e-200, rel=1e-15)
         # -ln R = 400 ln 10 is representable, and is taken from ln t (mpmath, 50 digits)
         assert cumulative_hazard(p, 1e200) == pytest.approx(921.03403719761827360719658187375, rel=1e-15)
+        # at lam = 1, S = w**2 and H = -2 ln w = 800 ln 10 (mpmath, 50 digits)
+        assert cumulative_hazard(TgiwParams(1, 2, 1, 1), 1e200) == pytest.approx(
+            1842.0680743952365472143931637475, rel=1e-15
+        )
         assert hazard(TgiwParams(1, 1, 1, 0), 1e20) == pytest.approx(1e-20, rel=1e-12)
 
     def test_hazard_is_log_survival_slope(self):
@@ -131,7 +135,12 @@ class TestSurvivalHazard:
 
 
 def _tail_oracle(p, x):
-    """(survival, hazard, cumulative hazard) at 50 digits; expm1 keeps 1 - u exact as t -> 0."""
+    """(survival, hazard, cumulative hazard, log density) at 50 digits.
+
+    expm1 keeps w = 1 - u exact as t -> 0, and the factors (1 - lam) u + w
+    and (1 - lam) u + (1 + lam) w hold no 1 - u, so they keep their digits
+    at lam = 1 where t is below 1e-50.
+    """
     import mpmath as mp
 
     with mp.workdps(50):
@@ -139,17 +148,19 @@ def _tail_oracle(p, x):
         x = mp.mpf(x)
         t = g * (a * x) ** -b
         u = mp.exp(-t)
-        s = -mp.expm1(-t) * (1 - lam * u)
+        w = -mp.expm1(-t)
+        s = w * ((1 - lam) * u + w)
         F = u * (1 + lam - lam * u)
-        f = b * t / x * u * (1 + lam - 2 * lam * u)
+        f = b * t / x * u * ((1 - lam) * u + (1 + lam) * w)
         H = -mp.log1p(-F) if F < 0.5 else -mp.log(s)
-        return float(s), float(f / s), float(H)
+        return float(s), float(f / s), float(H), float(mp.log(f))
 
 
 class TestTailExactness:
-    """Survival, hazard and cumulative hazard against 50-digit mpmath, both tails."""
+    """Survival, hazard, cumulative hazard and log density against 50-digit mpmath, both tails."""
 
-    XS = np.geomspace(1e-3, 1e12, 31)
+    # up to 1e300, where t underflows for beta = 2 and S with it
+    XS = np.concatenate([np.geomspace(1e-3, 1e12, 31), np.geomspace(1e20, 1e300, 15)])
 
     @pytest.mark.parametrize("lam", [-1.0, -0.5, 0.0, 0.7, 1.0])
     @pytest.mark.parametrize("beta", [0.5, 2.0])
@@ -158,11 +169,15 @@ class TestTailExactness:
         p = TgiwParams(1.3, beta, gamma, lam)
         got = np.array([survival(p, self.XS), hazard(p, self.XS), cumulative_hazard(p, self.XS)])
         want = np.array([_tail_oracle(p, x) for x in self.XS]).T
-        rel = np.abs(got - want) / np.maximum(np.abs(want), np.finfo(float).tiny)
+        rel = np.abs(got - want[:3]) / np.maximum(np.abs(want[:3]), np.finfo(float).tiny)
         assert rel[0].max() <= 1e-14
         # t = gamma*(alpha*x)**-beta carries one rounding, amplified by t in exp(-t)
         assert rel[1].max() <= 1e-12
         assert rel[2].max() <= 1e-12
+        # log f is finite where f, w and (at lam = 1) B underflow; its absolute
+        # error is the relative error of f
+        right = self.XS >= 1.0
+        np.testing.assert_allclose(log_pdf(p, self.XS[right]), want[3][right], rtol=1e-14, atol=1e-14)
 
 
 class TestCumulativeHazard:

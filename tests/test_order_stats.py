@@ -105,9 +105,10 @@ def _os_oracle(p, n, ranks, xs):
         for x in map(mp.mpf, xs):
             t = g * (a * x) ** -b
             u = mp.exp(-t)
+            w = -mp.expm1(-t)
             F.append(u * (1 + lam - lam * u))
-            S.append(-mp.expm1(-t) * (1 - lam * u))
-            f.append(b * t / x * u * (1 + lam - 2 * lam * u))
+            S.append(w * ((1 - lam) * u + w))
+            f.append(b * t / x * u * ((1 - lam) * u + (1 + lam) * w))
         if len(ranks) == 1:
             (i,) = ranks
             c = mp.factorial(n) / (mp.factorial(i - 1) * mp.factorial(n - i))
@@ -120,7 +121,8 @@ def _os_oracle(p, n, ranks, xs):
 class TestTailExactness:
     """Minimum, maximum and a joint density (n = 5) against 50-digit mpmath, both tails."""
 
-    XS = np.geomspace(1e-2, 1e7, 28)
+    # 1e200 is past the point where w underflows, and log S with it at lam = 1
+    XS = np.append(np.geomspace(1e-2, 1e7, 28), 1e200)
     PARAMS = [TgiwParams(1.0, 2.0, 1.0, lam) for lam in (-1.0, -0.5, 0.0, 0.7, 1.0)] + [TgiwParams(1.3, 0.5, 3.0, 0.4)]
 
     @pytest.mark.parametrize("p", PARAMS, ids=str)
