@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -430,9 +431,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_OPTION = re.compile(r"--?[A-Za-z][\w-]*")
+_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join -1e-05 and the like, which argparse takes for flags, onto the option before it: --lambda=-1e-05."""
+    out: list[str] = []
+    for token in argv:
+        if out and _OPTION.fullmatch(out[-1]) and _NEGATIVE_EXPONENT.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

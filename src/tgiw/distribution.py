@@ -116,11 +116,11 @@ def _log_terms(p: TgiwParams, x):
     if lam == 1.0:  # B = 2w and (1 - lam) u + w = w underflow with w: their logs come from log w
         log_w = log_t + np.log((w + 5e-324) / (t + 5e-324))
         log_b, log_S = math.log(2.0) + log_w, 2.0 * log_w
-    else:
-        log_b = np.log(b)
+    else:  # at lam = -1, B = 2u and F = u**2 underflow with u: their logs come from log u = -t
+        log_b = math.log(2.0) - t if lam == -1.0 else np.log(b)
         log_S = log_t + np.log((w + 5e-324) / (t + 5e-324) * ((1.0 - lam) * u + w))
     log_f = math.log(p.alpha * p.beta) + log_t - log_ax - t + log_b
-    log_F = np.log((1.0 + lam) - lam * u) - t
+    log_F = -2.0 * t if lam == -1.0 else np.log((1.0 + lam) - lam * u) - t
     return t, b, log_F, log_S, log_f
 
 

@@ -10,15 +10,15 @@ from the optimum of its lam = 0 sub-model; every accepted step raises the
 likelihood, so the fit never ends below the base model.  Extra multistart
 starts are uniform draws around a method-of-quantiles seed.  The observed
 information is the negative of the same Hessian.  Least squares (LSE/WLSE)
-runs a Nelder-Mead simplex from the quantile seed and restarts it once.
+runs a Nelder-Mead simplex in the same z from the quantile seed, restarted once.
 
-The default fitting mode is ``reduced``: the likelihood depends on
-``alpha`` and ``gamma`` only through ``theta = gamma * alpha**(-beta)``, so
-the four-parameter (``full``) mode sits on a flat ridge and is offered only
-for comparison, with an ill-conditioning warning on its information matrix.
-Full-mode MLE solves the reduced problem and maps the optimum back through
-theta, using the model's fixed alpha or gamma, or alpha = 1 when both are
-free; its information follows by the chain rule through the same map.
+The default fitting mode is ``reduced``: the likelihood and the least-squares
+criteria depend on ``alpha`` and ``gamma`` only through
+``theta = gamma * alpha**(-beta)``, so the four-parameter (``full``) mode sits
+on a flat ridge and is offered only for comparison.  Every method solves the
+reduced problem; full mode maps the optimum back through theta (the model's
+fixed alpha or gamma, or alpha = 1 when both are free), and its information
+follows by the chain rule, with an ill-conditioning warning.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .params import (
     SubModel,
     TgiwParams,
     expand_params,
-    reduce_params,
 )
 
 __all__ = [
@@ -61,6 +60,8 @@ _ILL_CONDITIONED = 1e6
 _SINGULAR = 1e12
 # transform coordinates are clamped to [-_Z_MAX, _Z_MAX] so exp(z) stays finite
 _Z_MAX = 700.0
+# Nelder-Mead xatol and fatol of the least-squares fits
+_SIMPLEX_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,15 +70,11 @@ class FitConfig:
 
     ``max_iter`` bounds the iterations of each optimizer run: the Newton
     iterations of an MLE solve, the simplex iterations of LSE/WLSE.
-    ``f_tol`` and ``x_tol`` are the simplex tolerances and affect only
-    LSE/WLSE; MLE stops on the gradient in transform space.
     """
 
     model: SubModel = SubModel.TGIW
     mode: str = "reduced"  # "reduced" | "full"
     method: str = "mle"  # "mle" | "lse" | "wlse"
-    f_tol: float = 1e-10
-    x_tol: float = 1e-10
     max_iter: int = 5000
     multistart: int = 1
     seed: int = 0
@@ -88,8 +85,6 @@ class FitConfig:
             raise ValueError(f"mode must be 'reduced' or 'full', got {self.mode!r}")
         if self.method not in ("mle", "lse", "wlse"):
             raise ValueError(f"method must be one of mle/lse/wlse, got {self.method!r}")
-        if self.f_tol <= 0 or self.x_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_iter < 1 or self.multistart < 1:
             raise ValueError("max_iter and multistart must be >= 1")
         if not 0.0 < self.delta < 1.0:
@@ -257,24 +252,19 @@ _REDUCED_ORDER = ("theta", "beta", "lam")
 _FULL_ORDER = ("alpha", "beta", "gamma", "lam")
 
 
-def _free_names(model: SubModel, mode: str) -> tuple[tuple[str, ...], dict[str, float]]:
-    """Free coordinate names and fixed values for a model in a given mode."""
+def _free_names(model: SubModel) -> tuple[tuple[str, ...], dict[str, float]]:
+    """Free (theta, beta, lam) names of a model and its fixed beta and lam.
+
+    theta is always free: it absorbs any alpha or gamma constraint.
+    """
     fixed = model.fixed
-    if mode == "full":
-        names = tuple(n for n in _FULL_ORDER if n not in fixed)
-        return names, fixed
-    # reduced: theta is always free (it absorbs any alpha or gamma constraint)
-    names = tuple(
-        n for n in _REDUCED_ORDER if n == "theta" or n not in fixed
-    )
-    reduced_fixed = {k: v for k, v in fixed.items() if k in ("beta", "lam")}
-    return names, reduced_fixed
+    names = tuple(n for n in _REDUCED_ORDER if n == "theta" or n not in fixed)
+    return names, {k: v for k, v in fixed.items() if k in ("beta", "lam")}
 
 
 def identifiable_k(model: SubModel) -> int:
     """Number of free parameters in the identifiable (reduced) parameterization."""
-    names, _ = _free_names(model, "reduced")
-    return len(names)
+    return len(_free_names(model)[0])
 
 
 def _to_z(name: str, value: float) -> float:
@@ -290,17 +280,13 @@ def _from_z(name: str, z: float) -> float:
     return math.exp(min(z, _Z_MAX))
 
 
-def _params_from_z(z: np.ndarray, names: tuple[str, ...], fixed: dict[str, float], mode: str) -> TgiwParams:
-    values = dict(fixed)
-    for name, zi in zip(names, z):
-        values[name] = _from_z(name, float(zi))
-    if mode == "full":
-        return TgiwParams(**{k: values[k] for k in _FULL_ORDER})
-    rp = ReducedParams(theta=values["theta"], beta=values["beta"], lam=values.get("lam", 0.0))
-    return expand_params(rp)
+def _reduced_from_z(z: np.ndarray, names: tuple[str, ...], fixed: dict[str, float]) -> ReducedParams:
+    values = {"lam": 0.0, **fixed}
+    values.update((name, _from_z(name, float(zi))) for name, zi in zip(names, z))
+    return ReducedParams(theta=values["theta"], beta=values["beta"], lam=values["lam"])
 
 
-def _quantile_seed(x: np.ndarray, names: tuple[str, ...], fixed: dict[str, float], mode: str) -> np.ndarray:
+def _quantile_seed(x: np.ndarray, names: tuple[str, ...], fixed: dict[str, float]) -> np.ndarray:
     """Method-of-quantiles start: match the quartiles and median under lam = 0."""
     x25, x50, x75 = np.quantile(x, [0.25, 0.5, 0.75])
     if fixed.get("beta") is not None:
@@ -313,10 +299,7 @@ def _quantile_seed(x: np.ndarray, names: tuple[str, ...], fixed: dict[str, float
     else:
         beta0 = 1.0
     theta0 = math.log(2.0) * x50**beta0
-    seed_values = {"theta": theta0, "beta": beta0, "lam": 0.0, "alpha": 1.0, "gamma": theta0}
-    if mode == "full" and "gamma" not in names and "alpha" in names:
-        # gamma pinned by the model: push the scale into alpha instead
-        seed_values["alpha"] = (fixed.get("gamma", 1.0) / theta0) ** (1.0 / beta0)
+    seed_values = {"theta": theta0, "beta": beta0, "lam": 0.0}
     return np.array([_to_z(n, seed_values[n]) for n in names])
 
 
@@ -411,7 +394,7 @@ def _newton(logx: np.ndarray, names: tuple[str, ...], fixed: dict[str, float], z
 
 def _fit_mle(d: Dataset, cfg: FitConfig) -> tuple[ReducedParams, int, float]:
     """Reduced-mode MLE of cfg.model; returns (estimate, iterations, z-gradient norm)."""
-    names, fixed = _free_names(cfg.model, "reduced")
+    names, fixed = _free_names(cfg.model)
     k = len(names)
     # dividing by the median makes the fit in z free of the data's unit:
     # t = theta_s * (x/m)**-beta with theta = theta_s * m**beta
@@ -419,7 +402,7 @@ def _fit_mle(d: Dataset, cfg: FitConfig) -> tuple[ReducedParams, int, float]:
     xs = d.values / m
     logx = np.log(xs)
     gtol = _grad_tol(d.n)
-    z0 = _quantile_seed(xs, names, fixed, "reduced")
+    z0 = _quantile_seed(xs, names, fixed)
 
     first, sub_iterations = z0, 0
     if "lam" in names:
@@ -439,11 +422,8 @@ def _fit_mle(d: Dataset, cfg: FitConfig) -> tuple[ReducedParams, int, float]:
     if best is None:
         raise ValueError("all optimizer starts produced non-finite objectives (degenerate data)")
     z, _, g, iterations = best
-
-    values = {"lam": 0.0, **fixed}
-    values.update((name, _from_z(name, float(zi))) for name, zi in zip(names, z))
-    theta = _from_z("theta", math.log(values["theta"]) + values["beta"] * math.log(m))
-    rp = ReducedParams(theta=theta, beta=values["beta"], lam=values["lam"])
+    rp = _reduced_from_z(z, names, fixed)
+    rp = replace(rp, theta=_from_z("theta", math.log(rp.theta) + rp.beta * math.log(m)))
     return rp, iterations, float(np.max(np.abs(g)))
 
 
@@ -466,33 +446,41 @@ def _ls_objective(p: TgiwParams, x: np.ndarray, weights: np.ndarray | None) -> f
     return float(np.sum(weights * resid * resid))
 
 
-def _fd_gradient(fn, z: np.ndarray) -> np.ndarray:
-    h = np.finfo(float).eps ** (1 / 3) * np.maximum(1.0, np.abs(z))
-    out = np.empty_like(z)
-    for i in range(z.size):
-        e = np.zeros_like(z)
-        e[i] = h[i]
-        out[i] = (fn(z + e) - fn(z - e)) / (2.0 * h[i])
-    return out
+def _ls_gradient(rp: ReducedParams, names, x: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Exact z-gradient 2 J' W r of the least-squares criterion over ``names``.
+
+    With t = theta * x**-beta, u, w from the kernel and B = (1 - lam) u + (1 + lam) w:
+    dF/dlog t = -t u B (0 where t overflows and t u is inf * 0), dlog t/dlog theta = 1,
+    dlog t/dlog beta = -beta log x and dF/datanh lam = u w (1 - lam**2).
+    """
+    n, lam = x.size, rp.lam
+    with np.errstate(all="ignore"):
+        t, u, w = dist._terms(expand_params(rp), x)
+        r = u * ((1.0 + lam) - lam * u) - np.arange(1, n + 1) / (n + 1.0)
+        wr = r if weights is None else weights * r
+        dF = -np.fmax(t * u * ((1.0 - lam) * u + (1.0 + lam) * w), 0.0)
+        columns = {"theta": dF, "beta": -rp.beta * np.log(x) * dF, "lam": u * w * (1.0 - lam * lam)}
+        return np.array([2.0 * (wr @ columns[name]) for name in names])
 
 
-def _fit_ls(d: Dataset, cfg: FitConfig, names, fixed) -> tuple[TgiwParams, float, int, float, bool]:
-    """Nelder-Mead LSE/WLSE; returns (params, objective, iterations, gradient norm, ok)."""
+def _fit_ls(d: Dataset, cfg: FitConfig) -> tuple[ReducedParams, float, int, float, bool]:
+    """Nelder-Mead LSE/WLSE in z; returns (estimate, objective, iterations, gradient norm, ok)."""
+    names, fixed = _free_names(cfg.model)
     x = d.values
     weights = wlse_weights(x.size) if cfg.method == "wlse" else None
 
     def objective(z: np.ndarray) -> float:
         try:
-            p = _params_from_z(z, names, fixed, cfg.mode)
+            p = expand_params(_reduced_from_z(z, names, fixed))
         except ValueError:
             return math.inf
         return _ls_objective(p, x, weights)
 
-    z0 = _quantile_seed(x, names, fixed, cfg.mode)
+    z0 = _quantile_seed(x, names, fixed)
     rng = np.random.default_rng(cfg.seed)
     starts = [z0] + [z0 + rng.uniform(-2.0, 2.0, size=len(names)) for _ in range(cfg.multistart - 1)]
 
-    options = dict(xatol=cfg.x_tol, fatol=cfg.f_tol, maxiter=cfg.max_iter, maxfev=2 * cfg.max_iter)
+    options = dict(xatol=_SIMPLEX_TOL, fatol=_SIMPLEX_TOL, maxiter=cfg.max_iter, maxfev=2 * cfg.max_iter)
     best = None
     for start in starts:
         res = minimize(objective, start, method="Nelder-Mead", options=options)
@@ -509,9 +497,10 @@ def _fit_ls(d: Dataset, cfg: FitConfig, names, fixed) -> tuple[TgiwParams, float
         improvement = f_hat - float(restart.fun)
         z_hat, f_hat = np.asarray(restart.x, dtype=float), float(restart.fun)
         iterations += int(restart.nit)
-        optimizer_ok = optimizer_ok and improvement <= max(cfg.f_tol, 1e-9) * (1.0 + abs(f_hat))
-    gradient_norm = float(np.max(np.abs(_fd_gradient(objective, z_hat))))
-    return _params_from_z(z_hat, names, fixed, cfg.mode), f_hat, iterations, gradient_norm, optimizer_ok
+        optimizer_ok = optimizer_ok and improvement <= 1e-9 * (1.0 + abs(f_hat))
+    rp = _reduced_from_z(z_hat, names, fixed)
+    gradient_norm = float(np.max(np.abs(_ls_gradient(rp, names, x, weights))))
+    return rp, f_hat, iterations, gradient_norm, optimizer_ok
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +508,8 @@ def _fit_ls(d: Dataset, cfg: FitConfig, names, fixed) -> tuple[TgiwParams, float
 
 
 def _fit(d: Dataset, cfg: FitConfig) -> FitResult:
-    names, fixed = _free_names(cfg.model, cfg.mode)
+    full = cfg.mode == "full"
+    names = cfg.model.free if full else _free_names(cfg.model)[0]
     k = len(names)
     if d.n <= k:
         raise ValueError(
@@ -530,11 +520,10 @@ def _fit(d: Dataset, cfg: FitConfig) -> FitResult:
 
     if cfg.method == "mle":
         reduced, iterations, gradient_norm = _fit_mle(d, cfg)
-        params = _full_point(cfg.model, reduced) if cfg.mode == "full" else expand_params(reduced)
         converged = gradient_norm <= _grad_tol(d.n)
     else:
-        params, ls_objective, iterations, gradient_norm, converged = _fit_ls(d, cfg, names, fixed)
-        reduced = reduce_params(params)
+        reduced, ls_objective, iterations, gradient_norm, converged = _fit_ls(d, cfg)
+    params = _full_point(cfg.model, reduced) if full else expand_params(reduced)
     estimates = _estimates_dict(params, reduced, names, cfg.mode)
     neg_ll = -_loglik_at(params, d, derivatives=False)[0]
 
@@ -596,16 +585,10 @@ def _attach_inference(result: FitResult, d: Dataset, cfg: FitConfig) -> FitResul
     if info.singular:
         return result
     try:
-        ses = info.std_errors()
+        result = replace(result, std_errors=info.std_errors(), conf_level=1.0 - cfg.delta)
     except ValueError:
         return result
-    z = float(ndtri(1.0 - cfg.delta / 2.0))
-    cis = {
-        n: (result.estimates[n] - z * ses[n], result.estimates[n] + z * ses[n]) for n in names
-    }
-    return replace(
-        result, std_errors=ses, conf_intervals=cis, conf_level=1.0 - cfg.delta
-    )
+    return replace(result, conf_intervals=wald_intervals(result, cfg.delta))
 
 
 def fit_mle(d: Dataset, cfg: FitConfig | None = None) -> FitResult:

@@ -253,6 +253,37 @@ class TestTabulateCommand:
         assert max(gaps) == pytest.approx(ks_statistic(p, d), abs=1e-6)
 
 
+class TestNegativeExponentValues:
+    """argparse alone reads -9.9e-05 as an option flag; main takes it as the option's value."""
+
+    PARAMS = ["--alpha", "1", "--beta", "2", "--gamma", "1"]
+    COMMANDS = {
+        "sample": ["sample", *PARAMS, "-n", "20", "--seed", "3"],
+        "tabulate": ["tabulate", *PARAMS, "--x-min", "0.1", "--x-max", "10", "--points", "5"],
+    }
+
+    @pytest.mark.parametrize("command", ["sample", "tabulate"])
+    def test_same_file_as_joined_form(self, capsys, tmp_path, command):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        argv = self.COMMANDS[command]
+        assert main(argv + ["--lambda", "-9.9e-05", "--out", str(spaced)]) == 0
+        assert main(argv + ["--lambda=-9.9e-05", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_console_script_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["tgiw", *self.COMMANDS["tabulate"], "--lambda", "-2.5E-3"])
+        assert main() == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+
+    def test_negative_grid_bound_is_still_an_input_error(self, capsys):
+        code, _, err = run(
+            capsys, "tabulate", *self.PARAMS, "--lambda", "-1e-05",
+            "--x-min", "-1e-05", "--x-max", "1", "--points", "3",
+        )
+        assert code == 2
+        assert "grid requires 0 < x-min < x-max" in err
+
+
 class TestReproduceCommand:
     def test_full_run_passes(self, capsys):
         code, out, _ = run(capsys, "reproduce-paper")

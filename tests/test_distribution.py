@@ -174,10 +174,9 @@ class TestTailExactness:
         # t = gamma*(alpha*x)**-beta carries one rounding, amplified by t in exp(-t)
         assert rel[1].max() <= 1e-12
         assert rel[2].max() <= 1e-12
-        # log f is finite where f, w and (at lam = 1) B underflow; its absolute
-        # error is the relative error of f
-        right = self.XS >= 1.0
-        np.testing.assert_allclose(log_pdf(p, self.XS[right]), want[3][right], rtol=1e-14, atol=1e-14)
+        # log f is finite where f, w and (at lam = 1) B or (at lam = -1) u
+        # underflow; its absolute error is the relative error of f
+        np.testing.assert_allclose(log_pdf(p, self.XS), want[3], rtol=1e-14, atol=1e-14)
 
 
 class TestCumulativeHazard:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from tgiw import (
     wald_intervals,
     wlse_weights,
 )
-from tgiw.estimation import FitResult, _ls_objective
+from tgiw.estimation import FitResult, _free_names, _ls_gradient, _ls_objective, _reduced_from_z
 
 # fitted values for the bundled data, frozen from converged runs
 TGIW_NEG_LL = 166.38696
@@ -165,6 +166,11 @@ class TestFitMle:
         d = Dataset(values=np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="n > k"):
             fit_mle(d, FitConfig(model=SubModel.TGIW))
+
+    def test_config_fields(self):
+        assert {f.name for f in fields(FitConfig)} == {
+            "model", "mode", "method", "max_iter", "multistart", "seed", "delta",
+        }
 
     def test_identifiable_counts(self):
         assert identifiable_k(SubModel.TGIW) == 3
@@ -335,6 +341,33 @@ class TestLeastSquares:
         fr = fit_lse(weeks, FitConfig(model=SubModel.GIW))
         assert fr.std_errors is None
         assert fr.neg_log_lik == pytest.approx(-log_likelihood(fr.params, weeks), rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["lse", "wlse"])
+    @pytest.mark.parametrize("model", list(SubModel), ids=lambda m: m.value)
+    def test_full_mode_maps_the_reduced_fit(self, weeks, model, method):
+        fitter = fit_lse if method == "lse" else fit_wlse
+        reduced = fitter(weeks, FitConfig(model=model))
+        full = fitter(weeks, FitConfig(model=model, mode="full"))
+        assert full.free_names == model.free
+        assert full.objective == pytest.approx(reduced.objective, rel=1e-14)
+        np.testing.assert_allclose(
+            reduce_params(full.params).as_tuple(), reduced.reduced.as_tuple(), rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("method", ["lse", "wlse"])
+    def test_exact_gradient_matches_differences(self, weeks, method):
+        names, fixed = _free_names(SubModel.TGIW)
+        weights = wlse_weights(weeks.n) if method == "wlse" else None
+
+        def objective(z):
+            return _ls_objective(expand_params(_reduced_from_z(z, names, fixed)), weeks.values, weights)
+
+        for z in ([0.5, -0.3, 0.4], [-0.2, 0.1, -1.0], [1.0, -0.8, 0.0]):
+            z = np.array(z)
+            h = np.finfo(float).eps ** (1 / 3) * np.maximum(1.0, np.abs(z))
+            differences = [(objective(z + e) - objective(z - e)) / (2.0 * hi) for e, hi in zip(np.diag(h), h)]
+            exact = _ls_gradient(_reduced_from_z(z, names, fixed), names, weeks.values, weights)
+            np.testing.assert_allclose(exact, differences, rtol=1e-6)
 
     def test_tie_stability(self):
         # equal observations: objective invariant under input order
