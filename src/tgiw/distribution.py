@@ -101,26 +101,35 @@ def _terms(p: TgiwParams, x):
     return (t, *_kernel(t))
 
 
+def _log_b(lam: float, t, log_t, u, w):
+    """B = (1 - lam) u + (1 + lam) w and log B from one kernel pass; B >= 1 - |lam| at |lam| < 1.
+
+    At lam = -1 and 1, B = 2u and 2w; below the smallest normal float, log B is
+    log 2 - t and log 2 + log w, log w = log t + log(w/t) (5e-324 keeps w/t = 1 where t is 0).
+    """
+    b = (1.0 - lam) * u + (1.0 + lam) * w
+    log_b = np.log(b)
+    if abs(lam) == 1.0:
+        log_edge = -t if lam == -1.0 else log_t + np.log((w + 5e-324) / (t + 5e-324))
+        log_b = np.where(b < np.finfo(float).tiny, math.log(2.0) + log_edge, log_b)
+    return b, log_b
+
+
 def _log_terms(p: TgiwParams, x):
     """t, B, log F, log S and log f at a checked x, exact in both tails.
 
-    log t = log gamma - beta log(alpha x) stays finite where t underflows,
-    and log w = log t + log(w/t); the smallest subnormal added to w and t
-    makes w/t = 1 where t is 0 and moves no normal t.
+    log t = log gamma - beta log(alpha x) stays finite where t underflows.  At lam = -1,
+    F = u**2 and log F = -2t; at lam = 1, S = w**2 and log S = 2 log w = 2 (log B - log 2).
     """
     t, u, w = _terms(p, x)
     lam = p.lam
-    b = (1.0 - lam) * u + (1.0 + lam) * w
     log_ax = np.log(p.alpha * x)
     log_t = math.log(p.gamma) - p.beta * log_ax
-    if lam == 1.0:  # B = 2w and (1 - lam) u + w = w underflow with w: their logs come from log w
-        log_w = log_t + np.log((w + 5e-324) / (t + 5e-324))
-        log_b, log_S = math.log(2.0) + log_w, 2.0 * log_w
-    else:  # at lam = -1, B = 2u and F = u**2 underflow with u: their logs come from log u = -t
-        log_b = math.log(2.0) - t if lam == -1.0 else np.log(b)
-        log_S = log_t + np.log((w + 5e-324) / (t + 5e-324) * ((1.0 - lam) * u + w))
+    b, log_b = _log_b(lam, t, log_t, u, w)
     log_f = math.log(p.alpha * p.beta) + log_t - log_ax - t + log_b
     log_F = -2.0 * t if lam == -1.0 else np.log((1.0 + lam) - lam * u) - t
+    log_S = 2.0 * (log_b - math.log(2.0)) if lam == 1.0 else (
+        log_t + np.log((w + 5e-324) / (t + 5e-324) * ((1.0 - lam) * u + w)))
     return t, b, log_F, log_S, log_f
 
 

@@ -302,9 +302,9 @@ class TestReproduceCommand:
 
 
 class TestReportSchema:
-    """The JSON reports keep their keys; the fit report gains ``information``."""
+    """The JSON reports keep their keys; the fit report gains ``information``, the manifest ``versions``."""
 
-    MANIFEST = {"command", "source", "seed", "version", "timestamp", "config"}
+    MANIFEST = {"command", "source", "seed", "version", "timestamp", "config", "versions"}
     FIT = {
         "model", "mode", "method", "converged", "iterations", "neg_log_lik", "objective",
         "gradient_norm", "boundary_lambda", "n_obs", "free_names", "estimates", "params",

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgiw import (
     Dataset,
@@ -19,6 +21,7 @@ from tgiw import (
     fit_wlse,
     identifiable_k,
     log_likelihood,
+    log_pdf,
     observed_information,
     quantile,
     reduce_params,
@@ -62,16 +65,48 @@ class TestLogLikelihood:
         assert log_likelihood(TgiwParams(1, 1, 1, 0), d) == pytest.approx(-1.0, abs=1e-14)
 
     def test_consistency_with_pointwise_log_density(self, weeks):
-        from tgiw import log_pdf
-
         p = TgiwParams(1.3, 0.8, 2.0, 0.6)
         total = float(np.sum(np.asarray(log_pdf(p, weeks.values))))
         assert log_likelihood(p, weeks) == pytest.approx(total, abs=1e-8)
 
     def test_minus_infinity_sentinel_at_edge(self):
-        # lam = -1 with a tiny observation: the density factor underflows to 0
+        # lam = -1 at a tiny observation: B = 2u underflows to 0, but log B = log 2 - t is finite
+        p = TgiwParams(1, 1, 1, -1)
         d = Dataset(values=np.array([1e-300]))
-        assert log_likelihood(TgiwParams(1, 1, 1, -1), d) == -math.inf
+        assert log_likelihood(p, d) == pytest.approx(log_pdf(p, 1e-300), rel=1e-12)
+        assert log_pdf(p, 1e-300) == pytest.approx(-2e300, rel=1e-15)
+        # where t overflows the density is 0 and both read -inf
+        p = TgiwParams(1, 2, 1, -1)
+        assert log_pdf(p, 1e-200) == -math.inf
+        assert log_likelihood(p, Dataset(values=np.array([1e-200]))) == -math.inf
+
+    @pytest.mark.parametrize("lam, values, expected", [
+        (-1.0, [0.01, 1.0, 2.0], -19986.605),  # u = exp(-t) underflows at 0.01
+        (1.0, [1.0, 2.0, 1e200], -2303.723),  # w = 1 - u underflows at 1e200
+    ])
+    def test_finite_at_the_lambda_edges(self, lam, values, expected):
+        p = TgiwParams(1, 2, 1, lam)
+        total = float(np.sum(log_pdf(p, np.array(values))))
+        assert log_likelihood(p, Dataset(values=np.array(values))) == pytest.approx(total, rel=1e-14)
+        assert total == pytest.approx(expected, abs=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_alpha=st.floats(-3.0, 3.0),
+        log_beta=st.floats(-2.0, 2.0),
+        log_gamma=st.floats(-3.0, 3.0),
+        lam=st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0),
+        exponents=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=20),
+    )
+    def test_equals_sum_of_log_pdf(self, log_alpha, log_beta, log_gamma, lam, exponents):
+        p = TgiwParams(math.exp(log_alpha), math.exp(log_beta), math.exp(log_gamma), lam)
+        x = np.sort(10.0 ** np.array(exponents))
+        terms = np.asarray(log_pdf(p, x))
+        ll = log_likelihood(p, Dataset(values=x))
+        if np.isneginf(terms).any():
+            assert ll == -math.inf
+        else:
+            assert abs(ll - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
 
 class TestScore:
@@ -97,6 +132,13 @@ class TestScore:
     def test_vanishes_at_interior_optimum(self, weeks, tgiw_fit):
         g = score(tgiw_fit.params, weeks)
         assert np.max(np.abs(g)) < 1e-4
+
+    def test_undefined_where_the_density_factor_is_zero(self):
+        # at lam = 1, B = 2w is 0 at 1e200: l is finite, but its derivatives divide by B
+        p, d = TgiwParams(1, 2, 1, 1), Dataset(values=np.array([1.0, 2.0, 1e200]))
+        assert math.isfinite(log_likelihood(p, d))
+        with pytest.raises(ValueError, match="derivatives"):
+            score(p, d)
 
 
 def _fd_score(p, d):
